@@ -141,7 +141,7 @@ func ParsePolicy(doc string) ([]Rule, error) {
 
 // PolicySource is a pluggable policy backend feeding a deployment's engine:
 // a file with hot reload, an HTTP endpoint with conditional fetches, or a
-// static inline document. See DeploymentConfig.PolicySource.
+// static inline document. See PolicyConfig.Source.
 type PolicySource = policystore.Source
 
 // PolicyStoreStats snapshots a deployment's hot-reload policy store.
@@ -150,7 +150,7 @@ type PolicyStoreStats = policystore.Stats
 // FailMode selects the degraded posture when the policy store cannot reach
 // a fresh policy past its staleness deadline: keep serving the last-good
 // rules (FailStatic), admit everything (FailOpen), or deny everything
-// (FailClosed). See DeploymentConfig.PolicyMaxStale.
+// (FailClosed). See PolicyConfig.MaxStale.
 type FailMode = policystore.FailMode
 
 // Fail modes.
@@ -169,7 +169,7 @@ func ParseFailMode(s string) (FailMode, error) {
 // FaultPlan is a deterministic, seeded wire-fault specification: per-packet
 // probabilities for drop, duplication, reordering, virtual-time delay,
 // payload corruption and truncation. Install one with Deployment.SetFaults
-// (or DeploymentConfig.Faults) to subject the network to chaos; the
+// (or NetConfig.Faults) to subject the network to chaos; the
 // zero-probability plan leaves the wire perfect.
 type FaultPlan = netsim.FaultPlan
 
@@ -587,8 +587,8 @@ func (d *Deployment) ExerciseVia(app *App, functionality string, route Route) ([
 		}
 		if del.Enforcement != nil {
 			// The enforcer records each decision on the audit pipeline
-			// itself (per packet on the scalar path, once per burst on the
-			// batched path); here we only surface the outcome.
+			// itself (once per gateway drain); here we only surface the
+			// outcome.
 			o.Stack = del.Enforcement.Stack
 			if del.Enforcement.Decision != nil {
 				o.Reason = del.Enforcement.Decision.Reason

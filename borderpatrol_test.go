@@ -57,13 +57,11 @@ func demoFuncs() []Functionality {
 }
 
 func TestDeploymentEndToEnd(t *testing.T) {
-	dep, err := NewDeployment(DeploymentConfig{
-		Policy: `
+	dep, err := New(Config{Policy: PolicyConfig{Doc: `
 // block the tracker library and the upload method
 {[deny][library]["com/flurry"]}
 {[deny][method]["Lcom/corp/files/SyncEngine;->upload()V"]}
-`,
-	})
+`}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +129,7 @@ func TestDeploymentEndToEnd(t *testing.T) {
 }
 
 func TestDeploymentReconfiguration(t *testing.T) {
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +157,10 @@ func TestDeploymentReconfiguration(t *testing.T) {
 }
 
 func TestDeploymentErrors(t *testing.T) {
-	if _, err := NewDeployment(DeploymentConfig{Policy: "{[bogus]}"}); err == nil {
+	if _, err := New(Config{Policy: PolicyConfig{Doc: "{[bogus]}"}}); err == nil {
 		t.Fatal("bad policy accepted")
 	}
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +202,7 @@ func TestGenerateCorpusFacade(t *testing.T) {
 	if len(corpus) != 10 {
 		t.Fatalf("corpus = %d", len(corpus))
 	}
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +221,7 @@ func TestGenerateCorpusFacade(t *testing.T) {
 
 func TestUntaggedDefaultDrop(t *testing.T) {
 	// An app using native sockets bypasses tagging; the gateway drops it.
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,81 +118,3 @@ type Config struct {
 	Audit  AuditConfig
 	Net    NetConfig
 }
-
-// DeploymentConfig is the original flat configuration.
-//
-// Deprecated: use Config, which groups the same knobs into
-// PolicyConfig/FlowConfig/AuditConfig/NetConfig (reused per-gateway by
-// FleetConfig). DeploymentConfig remains a converting shim — NewDeployment
-// forwards to New — and every field keeps its exact old meaning.
-type DeploymentConfig struct {
-	// Policy is a policy document in the paper's grammar; empty means no
-	// rules. Mutually exclusive with PolicySource.
-	Policy string
-	// PolicySource feeds the policy engine from an external backend.
-	PolicySource PolicySource
-	// PolicyPoll is the hot-reload poll interval when PolicySource is set.
-	PolicyPoll time.Duration
-	// PolicyMaxStale is the staleness deadline (0 disables it).
-	PolicyMaxStale time.Duration
-	// PolicyFailMode selects the degraded posture past PolicyMaxStale.
-	PolicyFailMode FailMode
-	// Faults arms the network with a wire-fault plan at construction.
-	Faults *FaultPlan
-	// DefaultVerdict applies when no rule is decisive.
-	DefaultVerdict Verdict
-	// AllowUntagged admits packets without a BorderPatrol tag.
-	AllowUntagged bool
-	// HardenedKernel enables the set-once IP_OPTIONS protection.
-	HardenedKernel *bool
-	// FlowCacheSize bounds the per-flow verdict cache.
-	FlowCacheSize int
-	// FlowTTL expires cached flow verdicts.
-	FlowTTL time.Duration
-	// GatewayWorkers sizes the gateway's batch drain.
-	GatewayWorkers int
-	// DeviceAddr overrides the device network address.
-	DeviceAddr netip.Addr
-	// AuditWriter receives one JSON line per enforcement decision.
-	AuditWriter io.Writer
-	// AuditQueueCap bounds the pending audit entries.
-	AuditQueueCap int
-}
-
-// Config converts the flat legacy form into the grouped Config. The
-// mapping is total: every DeploymentConfig field lands in exactly one
-// sub-config, so NewDeployment(old) ≡ New(old.Config()).
-func (c DeploymentConfig) Config() Config {
-	return Config{
-		Policy: PolicyConfig{
-			Doc:            c.Policy,
-			Source:         c.PolicySource,
-			Poll:           c.PolicyPoll,
-			MaxStale:       c.PolicyMaxStale,
-			FailMode:       c.PolicyFailMode,
-			DefaultVerdict: c.DefaultVerdict,
-			AllowUntagged:  c.AllowUntagged,
-		},
-		Flow: FlowConfig{
-			CacheSize: c.FlowCacheSize,
-			TTL:       c.FlowTTL,
-			Workers:   c.GatewayWorkers,
-		},
-		Audit: AuditConfig{
-			Writer:   c.AuditWriter,
-			QueueCap: c.AuditQueueCap,
-		},
-		Net: NetConfig{
-			Faults:         c.Faults,
-			DeviceAddr:     c.DeviceAddr,
-			HardenedKernel: c.HardenedKernel,
-		},
-	}
-}
-
-// NewDeployment provisions a deployment from the legacy flat config.
-//
-// Deprecated: use New with the grouped Config.
-func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
-	return New(cfg.Config())
-}

@@ -19,14 +19,12 @@ func main() {
 	// 1. Stand up a deployment: provisioned device (patched kernel + Context
 	//    Manager) plus the enterprise gateway (Policy Enforcer + Packet
 	//    Sanitizer) in front of a simulated network.
-	dep, err := borderpatrol.NewDeployment(borderpatrol.DeploymentConfig{
-		Policy: `
+	dep, err := borderpatrol.New(borderpatrol.Config{Policy: borderpatrol.PolicyConfig{Doc: `
 // Example 1 from the paper: prevent ad/analytics library connections.
 {[deny][library]["com/flurry"]}
 // Example 3 style: prevent a single method - the upload task.
 {[deny][method]["Lcom/corp/files/SyncEngine;->upload([B)V"]}
-`,
-	})
+`}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 // this scale, entries reach the writer on flush, and Close is clean.
 func TestAuditPipelineEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
-	dep, err := NewDeployment(DeploymentConfig{
-		Policy:      `{[deny][library]["com/flurry"]}`,
-		AuditWriter: &buf,
+	dep, err := New(Config{
+		Policy: PolicyConfig{Doc: `{[deny][library]["com/flurry"]}`},
+		Audit:  AuditConfig{Writer: &buf},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestAuditPipelineEndToEnd(t *testing.T) {
 // keep-alive train hits the cache, and the FIN (not any application-layer
 // header) tears the flow down at the end of the connection.
 func TestKeepAliveFlowsStayCachedEndToEnd(t *testing.T) {
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,11 @@ func TestDeploymentFilePolicyHotReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "policy.bp")
 	writePolicy(t, path, `{[deny][library]["com/flurry"]}`)
 
-	dep, err := NewDeployment(DeploymentConfig{
-		PolicySource: FilePolicySource(path),
+	dep, err := New(Config{Policy: PolicyConfig{
+		Source: FilePolicySource(path),
 		// No background poll: the test drives ReloadPolicy explicitly for
-		// determinism (bp-gateway uses PolicyPoll).
-	})
+		// determinism (bp-gateway uses Poll).
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +73,10 @@ func TestDeploymentPolicyPollBackground(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "policy.bp")
 	writePolicy(t, path, `{[deny][library]["com/flurry"]}`)
 
-	dep, err := NewDeployment(DeploymentConfig{
-		PolicySource: FilePolicySource(path),
-		PolicyPoll:   2 * time.Millisecond,
-	})
+	dep, err := New(Config{Policy: PolicyConfig{
+		Source: FilePolicySource(path),
+		Poll:   2 * time.Millisecond,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +101,9 @@ func TestDeploymentPolicyPollBackground(t *testing.T) {
 }
 
 func TestDeploymentStaticPolicySource(t *testing.T) {
-	dep, err := NewDeployment(DeploymentConfig{
-		PolicySource: StaticPolicySource(`{[deny][library]["com/flurry"]}`),
-	})
+	dep, err := New(Config{Policy: PolicyConfig{
+		Source: StaticPolicySource(`{[deny][library]["com/flurry"]}`),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,23 +119,23 @@ func TestDeploymentStaticPolicySource(t *testing.T) {
 }
 
 func TestDeploymentPolicySourceExclusions(t *testing.T) {
-	_, err := NewDeployment(DeploymentConfig{
-		Policy:       `{[deny][library]["com/flurry"]}`,
-		PolicySource: StaticPolicySource(""),
-	})
+	_, err := New(Config{Policy: PolicyConfig{
+		Doc:    `{[deny][library]["com/flurry"]}`,
+		Source: StaticPolicySource(""),
+	}})
 	if err == nil {
 		t.Fatal("Policy + PolicySource accepted")
 	}
 
 	// A broken initial policy is fatal: no last-good exists yet.
-	if _, err := NewDeployment(DeploymentConfig{
-		PolicySource: StaticPolicySource(`{[broken`),
-	}); err == nil {
+	if _, err := New(Config{Policy: PolicyConfig{
+		Source: StaticPolicySource(`{[broken`),
+	}}); err == nil {
 		t.Fatal("broken initial policy accepted")
 	}
 
 	// Without a source, ReloadPolicy reports misuse.
-	dep, err := NewDeployment(DeploymentConfig{})
+	dep, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +166,17 @@ func assertOutcome(t *testing.T, dep *Deployment, app *App, fn string, wantDeliv
 	}
 }
 
+// writePolicy replaces the policy file atomically (write a temporary file,
+// then rename), as operators are told to: a background poll that caught
+// an in-place write between truncate and write would apply an empty rule
+// set and count it as a reload.
 func writePolicy(t *testing.T, path, doc string) {
 	t.Helper()
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -206,8 +206,8 @@ const (
 // two atomic adds, so they exist whether or not a registry ever scrapes
 // them — the gated benchmarks measure the instrumented path.
 type instruments struct {
-	// hitLatency is the sampled flow-cache-hit Process latency (scalar
-	// path; the batched drain reports per-burst figures instead).
+	// hitLatency is the sampled flow-table-hit latency of Process and
+	// ProcessBatch (batch-memo hits skip the probe and are not timed).
 	hitLatency *metrics.Histogram
 	// missLatency is the sampled full extract–decode–evaluate pipeline
 	// latency (flow-cache misses and uncached configurations).
@@ -357,10 +357,12 @@ func flowKey(k *flowtable.Key, pkt *ipv4.Packet, tagData []byte) (ok bool) {
 }
 
 // Process runs the three enforcement stages on one packet, short-circuited
-// by the flow cache when one is configured.
+// by the flow cache when one is configured. It is ProcessBatch's per-packet
+// path without the same-flow memo, audited per packet.
 func (e *Enforcer) Process(pkt *ipv4.Packet) Result {
-	res := e.process(pkt)
-	e.count(res)
+	var res Result
+	e.process(pkt, nil, &res)
+	e.count(&res)
 	if e.audit != nil {
 		e.audit.Record(pkt, res)
 	}
@@ -370,7 +372,7 @@ func (e *Enforcer) Process(pkt *ipv4.Packet) Result {
 // count updates the outcome counters for one processed packet (the
 // processed total is derived as accepted+dropped, keeping the hot path at
 // one counter update per packet).
-func (e *Enforcer) count(res Result) {
+func (e *Enforcer) count(res *Result) {
 	if res.Verdict == policy.VerdictAllow {
 		e.accepted.Inc()
 	} else {
@@ -381,14 +383,34 @@ func (e *Enforcer) count(res Result) {
 	}
 }
 
-func (e *Enforcer) process(pkt *ipv4.Packet) Result {
+// batchMemo is ProcessBatch's per-drain state. The same-flow memo is the
+// last flow-table answer of the drain, reused without a probe while the
+// next packet carries the same key under the same generation (a keep-alive
+// train). tick paces the hit-latency sample: one random draw per drain
+// picks the phase, then every hitSampleMask+1'th probe is timed, sparing
+// the per-packet draw the scalar path pays.
+type batchMemo struct {
+	key   flowtable.Key
+	gen   uint64
+	res   Result
+	valid bool
+	tick  uint32
+}
+
+// process is the one per-packet enforcement path behind Process and
+// ProcessBatch: the untagged check, the full pipeline when the packet is
+// uncached or uncacheable, otherwise the memo (batch drains only; nil
+// from Process), the flow-table probe and the insert of a miss's verdict.
+func (e *Enforcer) process(pkt *ipv4.Packet, memo *batchMemo, res *Result) {
 	// Stage 1: extraction.
 	opt, tagged := pkt.Header.FindOption(ipv4.OptSecurity)
 	if !tagged {
-		return e.untagged()
+		*res = e.untagged()
+		return
 	}
 	if e.flows == nil {
-		return e.timedEvaluate(pkt, opt.Data)
+		*res = e.timedEvaluate(pkt, opt.Data)
+		return
 	}
 	// Fast path: probe the flow table on the raw tag bytes. The generation
 	// is read before the probe (and before any evaluation) so that a
@@ -397,24 +419,42 @@ func (e *Enforcer) process(pkt *ipv4.Packet) Result {
 	gen := e.generation()
 	var key flowtable.Key
 	if !flowKey(&key, pkt, opt.Data) {
-		return e.timedEvaluate(pkt, opt.Data)
+		*res = e.timedEvaluate(pkt, opt.Data)
+		return
+	}
+	if memo != nil && memo.valid && key == memo.key && gen == memo.gen {
+		e.batchMemoHits.Inc()
+		*res = memo.res
+		return
 	}
 	// The sampling decision precedes the probe so the timed subset is an
-	// unbiased slice of lookups; untimed packets pay one fastrand draw.
+	// unbiased slice of lookups.
+	var timed bool
+	if memo != nil {
+		memo.tick++
+		timed = memo.tick&hitSampleMask == 0
+	} else {
+		timed = rand.Uint32()&hitSampleMask == 0
+	}
 	var hitStart time.Time
-	timed := rand.Uint32()&hitSampleMask == 0
 	if timed {
 		hitStart = time.Now()
 	}
-	if res, ok := e.flows.Lookup(key, gen); ok {
+	var ok bool
+	if *res, ok = e.flows.Lookup(key, gen); ok {
 		if timed {
 			e.ins.hitLatency.Record(time.Since(hitStart).Nanoseconds())
 		}
-		return res
+	} else {
+		*res = e.timedEvaluate(pkt, opt.Data)
+		e.flows.Insert(key, gen, *res)
 	}
-	res := e.timedEvaluate(pkt, opt.Data)
-	e.flows.Insert(key, gen, res)
-	return res
+	if memo != nil {
+		memo.key = key
+		memo.gen = gen
+		memo.res = *res
+		memo.valid = true
+	}
 }
 
 // timedEvaluate runs the full miss pipeline, recording its latency for a
@@ -507,55 +547,23 @@ func (e *Enforcer) evaluateTag(pkt *ipv4.Packet, data []byte) Result {
 // upload burst) reuse the previous packet's Result without even probing
 // the flow table, and the flow table covers non-adjacent repeats. With
 // caching disabled every packet pays the full pipeline — the uncached
-// configuration is a true per-packet baseline. Results are appended to
-// out (reusing its backing array) and returned; out[i] corresponds to
-// pkts[i]. Safe for concurrent use — a per-core worker pool can split one
-// queue drain into independent ProcessBatch calls.
+// configuration is a true per-packet baseline. Results are written to
+// out (reusing its backing array when large enough) and returned; out[i]
+// corresponds to pkts[i]. Safe for concurrent use — a per-core worker
+// pool can split one queue drain into independent ProcessBatch calls.
 func (e *Enforcer) ProcessBatch(pkts []*ipv4.Packet, out []Result) []Result {
 	if cap(out) < len(pkts) {
-		out = make([]Result, 0, len(pkts))
+		out = make([]Result, len(pkts))
 	} else {
-		out = out[:0]
+		out = out[:len(pkts)]
 	}
 	// Per-burst timing: two clock reads and two histogram records for the
 	// whole batch (~1 ns/packet at the default burst size), not per packet.
 	batchStart := time.Now()
-	var (
-		memoKey   flowtable.Key
-		memoGen   uint64
-		memoRes   Result
-		memoValid bool
-	)
-	for _, pkt := range pkts {
-		opt, tagged := pkt.Header.FindOption(ipv4.OptSecurity)
-		var res Result
-		switch {
-		case !tagged:
-			res = e.untagged()
-		case e.flows == nil:
-			res = e.timedEvaluate(pkt, opt.Data)
-		default:
-			gen := e.generation()
-			var key flowtable.Key
-			cacheable := flowKey(&key, pkt, opt.Data)
-			switch {
-			case !cacheable:
-				res = e.timedEvaluate(pkt, opt.Data)
-			case memoValid && key == memoKey && gen == memoGen:
-				res = memoRes
-				e.batchMemoHits.Inc()
-			default:
-				if cached, ok := e.flows.Lookup(key, gen); ok {
-					res = cached
-				} else {
-					res = e.timedEvaluate(pkt, opt.Data)
-					e.flows.Insert(key, gen, res)
-				}
-				memoKey, memoGen, memoRes, memoValid = key, gen, res, true
-			}
-		}
-		e.count(res)
-		out = append(out, res)
+	memo := batchMemo{tick: rand.Uint32()}
+	for i, pkt := range pkts {
+		e.process(pkt, &memo, &out[i])
+		e.count(&out[i])
 	}
 	if e.audit != nil {
 		// One audit charge for the whole burst (a single stripe lock in the
@@ -651,7 +659,7 @@ func (e *Enforcer) RegisterMetrics(r *metrics.Registry) {
 		e.batchMemoHits.Value)
 
 	r.RegisterHistogram("bp_enforcer_cache_hit_latency_ns",
-		"Flow-cache-hit Process latency (sampled 1/64).", e.ins.hitLatency)
+		"Flow-table-hit enforcement latency (sampled 1/64).", e.ins.hitLatency)
 	r.RegisterHistogram("bp_enforcer_cache_miss_latency_ns",
 		"Full extract-decode-evaluate pipeline latency (sampled 1/16).", e.ins.missLatency)
 	r.RegisterHistogram("bp_enforcer_evaluate_latency_ns",

@@ -332,3 +332,27 @@ func TestConcurrentFlowCacheReadersVsRuleUpdates(t *testing.T) {
 		t.Fatalf("accepted/dropped = %d/%d, want %d each", st.Accepted, st.Dropped, goroutines*perG)
 	}
 }
+
+// TestProcessBatchFeedsHitLatency: flow-table hits on the batch path feed
+// the hit-latency histogram, as hits on Process do. Two interleaved flows
+// defeat the same-flow memo, so every packet after the first two probes
+// and hits the table; the batch path times one probe in 64.
+func TestProcessBatchFeedsHitLatency(t *testing.T) {
+	e, db, apk := newCachedEnforcer(t, Config{}, nil, policy.VerdictAllow)
+	a := withTCP(mkPacket(t, apk, db, "download"), 40000)
+	b := withTCP(mkPacket(t, apk, db, "download"), 40001)
+	batch := make([]*ipv4.Packet, 256)
+	for i := range batch {
+		batch[i] = a
+		if i%2 == 1 {
+			batch[i] = b
+		}
+	}
+	e.ProcessBatch(batch, nil)
+	if st := e.Stats(); st.BatchMemoHits != 0 || st.Flow.Hits != uint64(len(batch)-2) {
+		t.Fatalf("want %d table hits and no memo hits: %+v", len(batch)-2, st)
+	}
+	if timed := e.ins.hitLatency.Snapshot().Count(); timed < uint64(len(batch)-2)/(hitSampleMask+1) {
+		t.Fatalf("hit-latency samples = %d over %d table hits", timed, len(batch)-2)
+	}
+}

@@ -66,8 +66,6 @@ const (
 	SockCreated SockState = iota + 1
 	// SockConnected is a socket after a successful connect(2).
 	SockConnected
-	// SockClosed is a closed socket; its fd may be reused.
-	SockClosed
 )
 
 // Socket is the kernel-side socket object.
@@ -148,7 +146,7 @@ func (k *Kernel) Connect(fd int, local, remote netip.AddrPort) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	s, ok := k.sockets[fd]
-	if !ok || s.State == SockClosed {
+	if !ok {
 		return ErrBadFD
 	}
 	if s.State == SockConnected {
@@ -175,7 +173,7 @@ func (k *Kernel) SetIPOptions(fd int, caps Capability, opts []ipv4.Option) error
 	defer k.mu.Unlock()
 	k.setoptCalls++
 	s, ok := k.sockets[fd]
-	if !ok || s.State == SockClosed {
+	if !ok {
 		return ErrBadFD
 	}
 	if !k.cfg.AllowUnprivilegedIPOptions && caps&CapNetAdmin == 0 {
@@ -218,15 +216,17 @@ func (k *Kernel) GetSocket(fd int) (Socket, error) {
 	return cp, nil
 }
 
-// Close implements close(2) for sockets.
+// Close implements close(2) for sockets: the socket leaves the table, so
+// every later call on the fd — a second Close included — fails with
+// ErrBadFD, and the socket and its IP options are garbage once the caller
+// drops its packets.
 func (k *Kernel) Close(fd int) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	s, ok := k.sockets[fd]
-	if !ok || s.State == SockClosed {
+	if _, ok := k.sockets[fd]; !ok {
 		return ErrBadFD
 	}
-	s.State = SockClosed
+	delete(k.sockets, fd)
 	return nil
 }
 
@@ -240,7 +240,7 @@ func (k *Kernel) Close(fd int) error {
 func (k *Kernel) Send(fd int, payload []byte) (*ipv4.Packet, error) {
 	k.mu.Lock()
 	s, ok := k.sockets[fd]
-	if !ok || s.State == SockClosed {
+	if !ok {
 		k.mu.Unlock()
 		return nil, ErrBadFD
 	}
@@ -318,7 +318,7 @@ func (k *Kernel) buildPacketLocked(s *Socket, wire []byte) (*ipv4.Packet, *Netfi
 func (k *Kernel) Handshake(fd int) (*ipv4.Packet, error) {
 	k.mu.Lock()
 	s, ok := k.sockets[fd]
-	if !ok || s.State == SockClosed {
+	if !ok {
 		k.mu.Unlock()
 		return nil, ErrBadFD
 	}
@@ -353,7 +353,7 @@ func (k *Kernel) Handshake(fd int) (*ipv4.Packet, error) {
 func (k *Kernel) Shutdown(fd int) (*ipv4.Packet, error) {
 	k.mu.Lock()
 	s, ok := k.sockets[fd]
-	if !ok || s.State == SockClosed {
+	if !ok {
 		k.mu.Unlock()
 		return nil, ErrBadFD
 	}

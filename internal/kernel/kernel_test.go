@@ -52,6 +52,33 @@ func TestSocketLifecycle(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesSockets: a closed socket leaves the table, so a
+// device's connection churn does not keep every Socket and its IP options
+// alive; a second Close still reports EBADF.
+func TestCloseReleasesSockets(t *testing.T) {
+	k := New(Config{AllowUnprivilegedIPOptions: true})
+	tagOpt := []ipv4.Option{{Type: ipv4.OptSecurity, Data: []byte{1, 2, 3}}}
+	fds := make([]int, 0, 1000)
+	for i := 0; i < 1000; i++ {
+		fd := newConnected(t, k)
+		if err := k.SetIPOptions(fd, 0, tagOpt); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+		fds = append(fds, fd)
+	}
+	if n := len(k.sockets); n != 0 {
+		t.Fatalf("socket table holds %d closed sockets, want 0", n)
+	}
+	for _, fd := range fds[:10] {
+		if err := k.Close(fd); !errors.Is(err, ErrBadFD) {
+			t.Fatalf("double close of fd %d: %v", fd, err)
+		}
+	}
+}
+
 func TestSendRequiresConnect(t *testing.T) {
 	k := New(Config{})
 	fd := k.Socket(10001, ipv4.ProtoTCP)
@@ -154,13 +181,13 @@ func TestNetfilterQueueVerdicts(t *testing.T) {
 	k := New(Config{AllowUnprivilegedIPOptions: true, RawPayloads: true})
 	nf := k.Netfilter()
 	var seen int
-	nf.RegisterQueue(1, func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet) {
+	nf.RegisterBatchQueue(1, perPacket(func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet) {
 		seen++
 		if string(pkt.Payload) == "drop-me" {
 			return VerdictDrop, nil
 		}
 		return VerdictAccept, nil
-	})
+	}))
 	nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1, Comment: "to enforcer"})
 
 	fd := newConnected(t, k)
@@ -183,11 +210,11 @@ func TestNetfilterQueueRewrite(t *testing.T) {
 	k := New(Config{AllowUnprivilegedIPOptions: true})
 	nf := k.Netfilter()
 	// A sanitizer-style handler on POSTROUTING strips options.
-	nf.RegisterQueue(2, func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet) {
+	nf.RegisterBatchQueue(2, perPacket(func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet) {
 		c := pkt.Clone()
 		c.Header.RemoveOption(ipv4.OptSecurity)
 		return VerdictAccept, c
-	})
+	}))
 	nf.Append(ChainPostrouting, Rule{Target: TargetQueue, QueueNum: 2, Comment: "to sanitizer"})
 
 	fd := newConnected(t, k)
@@ -212,7 +239,7 @@ func TestNetfilterDeadQueueDrops(t *testing.T) {
 		t.Fatalf("dead queue: %v", err)
 	}
 	// Registering then unregistering restores the failure.
-	nf.RegisterQueue(9, func(p *ipv4.Packet) (Verdict, *ipv4.Packet) { return VerdictAccept, nil })
+	nf.RegisterBatchQueue(9, perPacket(func(p *ipv4.Packet) (Verdict, *ipv4.Packet) { return VerdictAccept, nil }))
 	if pkt, err := k.Send(fd, []byte("x")); err != nil || pkt == nil {
 		t.Fatalf("live queue: %v", err)
 	}

@@ -56,12 +56,9 @@ func (c Chain) String() string {
 	}
 }
 
-// QueueHandler is a user-space NFQUEUE consumer: it receives each queued
-// packet and must return a verdict, optionally rewriting the packet (the
-// Policy Enforcer accepts/drops; the Packet Sanitizer mangles).
-type QueueHandler func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet)
-
-// BatchVerdict is one packet's outcome from a QueueBatchHandler.
+// BatchVerdict is one packet's outcome from a QueueBatchHandler: the
+// verdict a user-space NFQUEUE consumer returns, optionally with a rewrite
+// (the Policy Enforcer accepts/drops; the Packet Sanitizer mangles).
 type BatchVerdict struct {
 	// Verdict accepts or drops the packet.
 	Verdict Verdict
@@ -74,12 +71,13 @@ type BatchVerdict struct {
 	Aux any
 }
 
-// QueueBatchHandler consumes a whole batch of packets diverted to one
-// NFQUEUE in a single user-space transition and returns one BatchVerdict
-// per packet (verdicts[i] answers pkts[i]). Batch handlers let the
-// consumer amortize per-flow work — resolve, decode, policy — across the
-// packets of a burst, which is where the real netfilter_queue's
-// per-packet recv/verdict round trip hurts most.
+// QueueBatchHandler is a user-space NFQUEUE consumer. It takes a whole
+// batch of packets diverted to one NFQUEUE in a single user-space
+// transition and returns one BatchVerdict per packet (verdicts[i] answers
+// pkts[i]). Batch handlers let the consumer amortize per-flow work —
+// resolve, decode, policy — across the packets of a burst, which is where
+// the real netfilter_queue's per-packet recv/verdict round trip hurts
+// most.
 type QueueBatchHandler func(pkts []*ipv4.Packet) []BatchVerdict
 
 // DataplaneCore is one core's leased view of a match-action dataplane: a
@@ -136,7 +134,6 @@ type Rule struct {
 type Netfilter struct {
 	mu           sync.RWMutex
 	chains       map[Chain][]Rule
-	queues       map[int]QueueHandler
 	batchQueues  map[int]QueueBatchHandler
 	dataplanes   map[int]Dataplane
 	accepted     atomic.Uint64
@@ -154,7 +151,6 @@ var ErrNoQueueHandler = errors.New("kernel: NFQUEUE has no user-space handler")
 func NewNetfilter() *Netfilter {
 	return &Netfilter{
 		chains:      make(map[Chain][]Rule),
-		queues:      make(map[int]QueueHandler),
 		batchQueues: make(map[int]QueueBatchHandler),
 		dataplanes:  make(map[int]Dataplane),
 	}
@@ -174,17 +170,9 @@ func (nf *Netfilter) Flush(chain Chain) {
 	delete(nf.chains, chain)
 }
 
-// RegisterQueue binds a user-space handler to an NFQUEUE number.
-func (nf *Netfilter) RegisterQueue(num int, h QueueHandler) {
-	nf.mu.Lock()
-	defer nf.mu.Unlock()
-	nf.queues[num] = h
-}
-
-// RegisterBatchQueue binds a batch-capable user-space handler to an
-// NFQUEUE number. Batch traversals (OutputBatch/DrainBatch) prefer it;
-// scalar traversals fall back to the QueueHandler registered under the
-// same number, so a queue that wants both paths registers both.
+// RegisterBatchQueue binds a user-space handler to an NFQUEUE number.
+// Every traversal — Output (a batch of one), OutputBatch and DrainBatch —
+// hands the queue's packets to it.
 func (nf *Netfilter) RegisterBatchQueue(num int, h QueueBatchHandler) {
 	nf.mu.Lock()
 	defer nf.mu.Unlock()
@@ -206,61 +194,21 @@ func (nf *Netfilter) RegisterDataplane(num int, dp Dataplane) {
 func (nf *Netfilter) UnregisterQueue(num int) {
 	nf.mu.Lock()
 	defer nf.mu.Unlock()
-	delete(nf.queues, num)
 	delete(nf.batchQueues, num)
 	delete(nf.dataplanes, num)
 }
 
 // Output runs a packet through OUTPUT then POSTROUTING, as the kernel does
 // for locally generated traffic. It returns the (possibly rewritten)
-// packet, or nil if any rule or queue handler dropped it.
+// packet, or nil if any rule or queue handler dropped it. It is a batch
+// traversal of one, on a stack array, so the device's per-packet path
+// allocates nothing when no queue rule matches.
 func (nf *Netfilter) Output(pkt *ipv4.Packet) (*ipv4.Packet, error) {
-	out, err := nf.traverse(ChainOutput, pkt)
-	if err != nil || out == nil {
+	items := [1]batchItem{{pkt: pkt}}
+	if err := nf.output(items[:]); err != nil {
 		return nil, err
 	}
-	return nf.traverse(ChainPostrouting, out)
-}
-
-func (nf *Netfilter) traverse(chain Chain, pkt *ipv4.Packet) (*ipv4.Packet, error) {
-	nf.mu.RLock()
-	rules := nf.chains[chain]
-	nf.mu.RUnlock()
-	cur := pkt
-	for i := range rules {
-		r := &rules[i]
-		if r.Match != nil && !r.Match(cur) {
-			continue
-		}
-		switch r.Target {
-		case TargetAccept:
-			nf.accepted.Add(1)
-			return cur, nil
-		case TargetDrop:
-			nf.dropped.Add(1)
-			return nil, nil
-		case TargetQueue:
-			nf.mu.RLock()
-			h := nf.queues[r.QueueNum]
-			nf.mu.RUnlock()
-			if h == nil {
-				nf.dropped.Add(1)
-				return nil, fmt.Errorf("%w: queue %d", ErrNoQueueHandler, r.QueueNum)
-			}
-			verdict, rewritten := h(cur)
-			if verdict == VerdictDrop {
-				nf.dropped.Add(1)
-				return nil, nil
-			}
-			nf.queuedOK.Add(1)
-			if rewritten != nil {
-				cur = rewritten
-			}
-		}
-	}
-	// Chain policy is ACCEPT.
-	nf.accepted.Add(1)
-	return cur, nil
+	return items[0].pkt, nil
 }
 
 // BatchResult is the fate of one packet pushed through a batch traversal.
@@ -285,14 +233,24 @@ type batchItem struct {
 // partitioned out and — for NFQUEUE targets — handed to the queue's batch
 // handler as a single slice, so the user-space consumer crosses the
 // kernel boundary once per burst instead of once per packet. Results
-// align with pkts (Out nil = dropped). A queue with neither a batch nor a
-// scalar handler drops its packets and reports ErrNoQueueHandler (first
-// error wins), like the real kernel's dead-NFQUEUE behaviour.
+// align with pkts (Out nil = dropped). A queue with no handler drops its
+// packets and reports ErrNoQueueHandler (first error wins), like the real
+// kernel's dead-NFQUEUE behaviour.
 func (nf *Netfilter) OutputBatch(pkts []*ipv4.Packet) ([]BatchResult, error) {
 	items := make([]batchItem, len(pkts))
 	for i, p := range pkts {
 		items[i] = batchItem{pkt: p}
 	}
+	err := nf.output(items)
+	out := make([]BatchResult, len(items))
+	for i := range items {
+		out[i] = BatchResult{Out: items[i].pkt, Aux: items[i].aux}
+	}
+	return out, err
+}
+
+// output runs the items through OUTPUT then POSTROUTING.
+func (nf *Netfilter) output(items []batchItem) error {
 	err := nf.traverseBatch(ChainOutput, items)
 	// Reset chain-scoped accept marks; drops keep pkt == nil.
 	for i := range items {
@@ -301,11 +259,7 @@ func (nf *Netfilter) OutputBatch(pkts []*ipv4.Packet) ([]BatchResult, error) {
 	if err2 := nf.traverseBatch(ChainPostrouting, items); err == nil {
 		err = err2
 	}
-	out := make([]BatchResult, len(items))
-	for i := range items {
-		out[i] = BatchResult{Out: items[i].pkt, Aux: items[i].aux}
-	}
-	return out, err
+	return err
 }
 
 // traverseBatch walks one chain over every not-yet-decided item.
@@ -361,96 +315,9 @@ func (nf *Netfilter) traverseBatch(chain Chain, items []batchItem) error {
 			}
 			nf.mu.RLock()
 			bh := nf.batchQueues[r.QueueNum]
-			sh := nf.queues[r.QueueNum]
 			dp := nf.dataplanes[r.QueueNum]
 			nf.mu.RUnlock()
-			switch {
-			case bh != nil:
-				// Match-action stage first: lease a core and answer what it
-				// can before paying the user-space transition. Hits receive
-				// the same Aux a handler would attach, so the consumer
-				// cannot tell the paths apart; misses fall through to the
-				// batch handler and their outcomes are promoted.
-				var core DataplaneCore
-				if dp != nil {
-					core = dp.Acquire()
-				}
-				if core != nil {
-					kept := matched[:0]
-					for _, i := range matched {
-						it := &items[i]
-						v, aux, hit := core.Probe(it.pkt)
-						if !hit {
-							kept = append(kept, i)
-							continue
-						}
-						if aux != nil {
-							it.aux = aux
-						}
-						if v == VerdictDrop {
-							it.pkt = nil
-							it.done = true
-							dropped++
-							continue
-						}
-						queued++
-					}
-					matched = kept
-				}
-				if len(matched) > 0 {
-					batch := make([]*ipv4.Packet, len(matched))
-					for bi, i := range matched {
-						batch[bi] = items[i].pkt
-					}
-					verdicts := bh(batch)
-					for bi, i := range matched {
-						it := &items[i]
-						// Aux rides along even on drops: the gateway needs the
-						// enforcement result of a denied packet for its audit
-						// trail, exactly like the scalar reader's lastResult.
-						if bi < len(verdicts) && verdicts[bi].Aux != nil {
-							it.aux = verdicts[bi].Aux
-						}
-						if bi >= len(verdicts) {
-							it.pkt = nil
-							it.done = true
-							dropped++
-							continue
-						}
-						if core != nil {
-							core.Promote(batch[bi], verdicts[bi].Verdict, verdicts[bi].Aux)
-						}
-						if verdicts[bi].Verdict == VerdictDrop {
-							it.pkt = nil
-							it.done = true
-							dropped++
-							continue
-						}
-						queued++
-						if verdicts[bi].Rewritten != nil {
-							it.pkt = verdicts[bi].Rewritten
-						}
-					}
-				}
-				if core != nil {
-					core.Release()
-				}
-			case sh != nil:
-				for _, i := range matched {
-					it := &items[i]
-					verdict, rewritten := sh(it.pkt)
-					if verdict == VerdictDrop {
-						it.pkt = nil
-						it.done = true
-						dropped++
-						continue
-					}
-					queued++
-					if rewritten != nil {
-						it.pkt = rewritten
-					}
-				}
-			default:
+			if bh == nil {
 				for _, i := range matched {
 					items[i].pkt = nil
 					items[i].done = true
@@ -459,6 +326,76 @@ func (nf *Netfilter) traverseBatch(chain Chain, items []batchItem) error {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("%w: queue %d", ErrNoQueueHandler, r.QueueNum)
 				}
+				continue
+			}
+			// Match-action stage first: lease a core and answer what it
+			// can before paying the user-space transition. Hits receive
+			// the same Aux a handler would attach, so the consumer
+			// cannot tell the paths apart; misses fall through to the
+			// batch handler and their outcomes are promoted.
+			var core DataplaneCore
+			if dp != nil {
+				core = dp.Acquire()
+			}
+			if core != nil {
+				kept := matched[:0]
+				for _, i := range matched {
+					it := &items[i]
+					v, aux, hit := core.Probe(it.pkt)
+					if !hit {
+						kept = append(kept, i)
+						continue
+					}
+					if aux != nil {
+						it.aux = aux
+					}
+					if v == VerdictDrop {
+						it.pkt = nil
+						it.done = true
+						dropped++
+						continue
+					}
+					queued++
+				}
+				matched = kept
+			}
+			if len(matched) > 0 {
+				batch := make([]*ipv4.Packet, len(matched))
+				for bi, i := range matched {
+					batch[bi] = items[i].pkt
+				}
+				verdicts := bh(batch)
+				for bi, i := range matched {
+					it := &items[i]
+					// Aux rides along even on drops: the gateway needs the
+					// enforcement result of a denied packet for its audit
+					// trail.
+					if bi < len(verdicts) && verdicts[bi].Aux != nil {
+						it.aux = verdicts[bi].Aux
+					}
+					if bi >= len(verdicts) {
+						it.pkt = nil
+						it.done = true
+						dropped++
+						continue
+					}
+					if core != nil {
+						core.Promote(batch[bi], verdicts[bi].Verdict, verdicts[bi].Aux)
+					}
+					if verdicts[bi].Verdict == VerdictDrop {
+						it.pkt = nil
+						it.done = true
+						dropped++
+						continue
+					}
+					queued++
+					if verdicts[bi].Rewritten != nil {
+						it.pkt = verdicts[bi].Rewritten
+					}
+				}
+			}
+			if core != nil {
+				core.Release()
 			}
 		}
 	}

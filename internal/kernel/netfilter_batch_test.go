@@ -10,6 +10,18 @@ import (
 	"borderpatrol/internal/ipv4"
 )
 
+// perPacket adapts a one-packet verdict function to a batch queue handler.
+func perPacket(f func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet)) QueueBatchHandler {
+	return func(pkts []*ipv4.Packet) []BatchVerdict {
+		out := make([]BatchVerdict, len(pkts))
+		for i, pkt := range pkts {
+			v, rw := f(pkt)
+			out[i] = BatchVerdict{Verdict: v, Rewritten: rw}
+		}
+		return out
+	}
+}
+
 func batchPkt(i int, payload string) *ipv4.Packet {
 	return &ipv4.Packet{
 		Header: ipv4.Header{
@@ -22,20 +34,14 @@ func batchPkt(i int, payload string) *ipv4.Packet {
 	}
 }
 
-// TestOutputBatchMatchesScalar runs the same packets through Output and
-// OutputBatch against a queue whose handler drops "evil" payloads, and
-// requires identical fates.
+// TestOutputBatchMatchesScalar runs the same packets through Output (one
+// packet per call) and OutputBatch against a queue whose handler drops
+// "evil" payloads, and requires identical fates.
 func TestOutputBatchMatchesScalar(t *testing.T) {
 	mk := func() *Netfilter {
 		nf := NewNetfilter()
 		nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
 		drop := func(pkt *ipv4.Packet) bool { return string(pkt.Payload) == "evil" }
-		nf.RegisterQueue(1, func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet) {
-			if drop(pkt) {
-				return VerdictDrop, nil
-			}
-			return VerdictAccept, nil
-		})
 		nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []BatchVerdict {
 			out := make([]BatchVerdict, len(pkts))
 			for i, pkt := range pkts {
@@ -125,32 +131,8 @@ func TestOutputBatchRewriteFlowsDownstream(t *testing.T) {
 	}
 }
 
-// TestOutputBatchScalarFallback: a queue with only a scalar handler still
-// works under batch traversal.
-func TestOutputBatchScalarFallback(t *testing.T) {
-	nf := NewNetfilter()
-	nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
-	calls := 0
-	nf.RegisterQueue(1, func(pkt *ipv4.Packet) (Verdict, *ipv4.Packet) {
-		calls++
-		return VerdictAccept, nil
-	})
-	res, err := nf.OutputBatch([]*ipv4.Packet{batchPkt(0, "x"), batchPkt(1, "y")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("scalar handler called %d times, want 2", calls)
-	}
-	for i, r := range res {
-		if r.Out == nil {
-			t.Fatalf("pkt %d dropped", i)
-		}
-	}
-}
-
 // TestOutputBatchDeadQueue: packets to an unregistered queue drop with
-// ErrNoQueueHandler, like the scalar path.
+// ErrNoQueueHandler.
 func TestOutputBatchDeadQueue(t *testing.T) {
 	nf := NewNetfilter()
 	nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 9})
@@ -260,5 +242,20 @@ func TestDrainBatchParallelWorkers(t *testing.T) {
 	st := nf.Stats()
 	if st.BatchDrains != 1 || st.BatchPackets != n {
 		t.Fatalf("batch stats = %+v", st)
+	}
+}
+
+// TestOutputEmptyChainAllocs pins the device path: every device packet
+// crosses Output over empty chains, and that traversal allocates nothing.
+func TestOutputEmptyChainAllocs(t *testing.T) {
+	nf := NewNetfilter()
+	pkt := batchPkt(0, "x")
+	allocs := testing.AllocsPerRun(1000, func() {
+		if out, err := nf.Output(pkt); out != pkt || err != nil {
+			t.Fatalf("out=%v err=%v", out, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Output over empty chains: %v allocs/op, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"testing"
+	"time"
 
 	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/flowtable"
@@ -105,6 +106,43 @@ func TestDeliverBatchAmortizesQueueHop(t *testing.T) {
 	if batchTotal >= scalarTotal {
 		t.Fatalf("batch burst %v must undercut scalar %v", batchTotal, scalarTotal)
 	}
+}
+
+// TestDeliverChargesLatencyModel pins the exact virtual time a delivered
+// and a gateway-dropped packet pay, in terms of the LatencyModel fields.
+// A delivery pays the NIC, the queue hop into the reader, enforcement,
+// sanitizing, the wire and the server, and the response's reinjection
+// hop. A gateway drop pays up to the reader only: its gateway delivered
+// nothing, so nothing is reinjected.
+func TestDeliverChargesLatencyModel(t *testing.T) {
+	enf, apk, db := buildEnforcerAndDB(t)
+	gw := NewGateway(GatewayConfig{Enforcer: enf, Sanitizer: sanitizer.New(sanitizer.Config{})})
+	n := newStaticNetwork(ModeTAP, gw)
+	m := n.Model
+	benign := taggedPacket(t, apk, db, "sync")
+	tracker := taggedPacket(t, apk, db, "beacon")
+
+	perPkt := m.TapPerPacket + m.EnforcerPerPacket + m.SanitizerPerPacket
+	dropped := perPkt + m.NFQueueHopPerPacket
+	delivered := dropped + 2*(m.WireRTT/2) + m.ServerProcessing + m.NFQueueHopPerPacket
+	mixed := 2*perPkt + m.NFQueueHopPerPacket + 2*(m.WireRTT/2) + m.ServerProcessing + m.NFQueueHopPerPacket
+
+	check := func(name string, ds []Delivery, want time.Duration, wantDelivered ...bool) {
+		t.Helper()
+		for i, d := range ds {
+			if d.Delivered != wantDelivered[i] {
+				t.Fatalf("%s pkt %d: delivered=%v, want %v", name, i, d.Delivered, wantDelivered[i])
+			}
+			if d.Latency != want {
+				t.Fatalf("%s pkt %d: latency %v, want %v", name, i, d.Latency, want)
+			}
+		}
+	}
+	check("Deliver benign", []Delivery{n.Deliver(benign)}, delivered, true)
+	check("Deliver tracker", []Delivery{n.Deliver(tracker)}, dropped, false)
+	check("DeliverBatch benign", n.DeliverBatch([]*ipv4.Packet{benign}), delivered, true)
+	check("DeliverBatch tracker", n.DeliverBatch([]*ipv4.Packet{tracker}), dropped, false)
+	check("DeliverBatch mixed", n.DeliverBatch([]*ipv4.Packet{benign, tracker}), mixed, true, false)
 }
 
 // TestDeliverBatchEmpty is the trivial edge.

@@ -18,8 +18,9 @@ type FaultPlan struct {
 	Drop float64
 	// Duplicate delivers the packet twice.
 	Duplicate float64
-	// Reorder swaps the packet with its neighbour within a DeliverBatch
-	// burst (the scalar Deliver path has no burst to reorder within).
+	// Reorder swaps the packet with its wire neighbour within a burst (a
+	// single Deliver is a burst of one: only its duplicate can swap with
+	// it).
 	Reorder float64
 	// Delay charges extra virtual wire time in [DelayMin, DelayMax].
 	Delay float64

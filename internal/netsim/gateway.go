@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,15 +17,13 @@ import (
 // Enforcer (NFQUEUE 1) and, for surviving packets, the Packet Sanitizer
 // (NFQUEUE 2) — matching the paper's worker-host iptables layout (§VI-A).
 //
-// Two consumption models are wired onto the same queues:
-//
-//   - Process is the paper's original serialized reader (the Python
-//     netfilterqueue consumer handles one packet at a time, and the audit
-//     trail relies on that ordering).
-//   - ProcessBatch drains a burst through the kernel's batch traversal
-//     with a per-core worker pool: the enforcer's ProcessBatch amortizes
-//     resolve+decode across packets of the same flow, and the lock-free
-//     enforcement path lets chunks proceed on every core in parallel.
+// Each queue has one reader, ProcessBatch: it drains a burst through the
+// kernel's batch traversal on a per-core worker pool. The paper's
+// one-packet-at-a-time netfilterqueue consumer is the burst of one the
+// network hands it for a single delivery. The enforcer's ProcessBatch
+// amortizes resolve+decode across packets of the same flow, and the
+// lock-free enforcement path lets chunks proceed on every core in
+// parallel.
 type Gateway struct {
 	nf        *kernel.Netfilter
 	enforcer  *enforcer.Enforcer
@@ -47,11 +44,6 @@ type Gateway struct {
 	passthrough bool
 
 	restarts atomic.Uint64
-
-	mu sync.Mutex
-	// lastResult stores the most recent enforcement result for callers
-	// that need the audit trail; valid only under mu across one Process.
-	lastResult *enforcer.Result
 }
 
 // GatewayConfig assembles a gateway.
@@ -87,14 +79,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	}
 	switch {
 	case g.enforcer != nil:
-		g.nf.RegisterQueue(1, func(pkt *ipv4.Packet) (kernel.Verdict, *ipv4.Packet) {
-			res := g.enforcer.Process(pkt)
-			g.lastResult = &res
-			if res.Verdict == policy.VerdictDrop {
-				return kernel.VerdictDrop, nil
-			}
-			return kernel.VerdictAccept, nil
-		})
 		g.nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []kernel.BatchVerdict {
 			results := g.enforcer.ProcessBatch(pkts, nil)
 			out := make([]kernel.BatchVerdict, len(pkts))
@@ -116,9 +100,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 			Target: kernel.TargetQueue, QueueNum: 1, Comment: "BYOD traffic to Policy Enforcer",
 		})
 	case g.passthrough:
-		g.nf.RegisterQueue(1, func(pkt *ipv4.Packet) (kernel.Verdict, *ipv4.Packet) {
-			return kernel.VerdictAccept, nil
-		})
 		g.nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []kernel.BatchVerdict {
 			out := make([]kernel.BatchVerdict, len(pkts))
 			for i := range out {
@@ -131,9 +112,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		})
 	}
 	if g.sanitizer != nil {
-		g.nf.RegisterQueue(2, func(pkt *ipv4.Packet) (kernel.Verdict, *ipv4.Packet) {
-			return kernel.VerdictAccept, g.sanitizer.Process(pkt.Clone())
-		})
 		g.nf.RegisterBatchQueue(2, func(pkts []*ipv4.Packet) []kernel.BatchVerdict {
 			out := make([]kernel.BatchVerdict, len(pkts))
 			for i, pkt := range pkts {
@@ -162,22 +140,6 @@ func (g *Gateway) HasEnforcer() bool { return g.enforcer != nil }
 
 // HasSanitizer reports whether the sanitizing stage is present.
 func (g *Gateway) HasSanitizer() bool { return g.sanitizer != nil }
-
-// Process runs one packet through the gateway pipeline. It returns the
-// (possibly rewritten) packet, nil when dropped, and the enforcement result
-// when the enforcer stage ran. Calls are serialized like the single
-// user-space queue reader they model.
-func (g *Gateway) Process(pkt *ipv4.Packet) (*ipv4.Packet, *enforcer.Result, error) {
-	g.mu.Lock()
-	g.lastResult = nil
-	out, err := g.nf.Output(pkt)
-	res := g.lastResult
-	g.mu.Unlock()
-	if out != nil {
-		g.observeConn(pkt)
-	}
-	return out, res, err
-}
 
 // observeConn feeds one accepted packet to the conntrack; a FIN/RST tears
 // the flow's cached verdict down through the enforcer. The original
@@ -219,11 +181,10 @@ type BatchOutcome struct {
 }
 
 // ProcessBatch drains a burst of packets through the netfilter batch
-// traversal on the per-core worker pool. Outcomes align with pkts. Unlike
-// Process, batch drains are not serialized against each other — the
-// enforcement path is lock-free by design — so callers needing a totally
-// ordered audit trail should order on the returned outcomes, not on
-// side effects.
+// traversal on the per-core worker pool. Outcomes align with pkts. Drains
+// are not serialized against each other — the enforcement path is
+// lock-free by design — so callers needing a totally ordered audit trail
+// should order on the returned outcomes, not on side effects.
 func (g *Gateway) ProcessBatch(pkts []*ipv4.Packet) ([]BatchOutcome, error) {
 	res, err := g.nf.DrainBatch(pkts, g.workers)
 	out := make([]BatchOutcome, len(res))
@@ -254,8 +215,6 @@ func (g *Gateway) Conntrack() ConntrackStats { return g.ct.Stats() }
 // pipeline and must reach the same verdict cold — the re-resolution
 // property the soak harness asserts.
 func (g *Gateway) Restart() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.enforcer != nil {
 		g.enforcer.PurgeFlows()
 	}

@@ -333,103 +333,15 @@ type Delivery struct {
 
 // Deliver pushes one device-egress packet through NIC → gateway → border →
 // server, charging virtual time for each stage, and returns what happened.
+// It is DeliverBatch of one packet.
 func (n *Network) Deliver(pkt *ipv4.Packet) Delivery {
-	return n.deliver(pkt, false)
+	one := [1]*ipv4.Packet{pkt}
+	return n.deliverBatch(one[:], false)[0]
 }
 
-// deliver implements Deliver; skipGateway models paths (like the mobile
-// carrier) that never touch the corporate perimeter.
-func (n *Network) deliver(pkt *ipv4.Packet, skipGateway bool) Delivery {
-	if f := n.faults.Load(); f != nil && !skipGateway {
-		return n.deliverFaulty(f, pkt)
-	}
-	return n.deliverCore(pkt, skipGateway)
-}
-
-// deliverFaulty is the armed-plan scalar path: drop, delay, corruption,
-// truncation, and duplication apply per packet (reordering needs a burst —
-// see DeliverBatch). A duplicate rides the wire in the same damaged form;
-// its own delivery outcome is discarded, but its gateway and server state
-// transitions happen for real — exactly the repeated-control-segment
-// surface the conntrack idempotency guarantees cover.
-func (n *Network) deliverFaulty(f *Faults, pkt *ipv4.Packet) Delivery {
-	if f.rollDrop() {
-		n.captureAt(CaptureDeviceEgress, pkt)
-		return Delivery{Stage: StageFault}
-	}
-	if d := f.rollDelay(); d > 0 {
-		n.Clock.Advance(d)
-	}
-	cur := pkt
-	if m := f.mutate(pkt); m != nil {
-		cur = m
-	}
-	del := n.deliverCore(cur, false)
-	if f.rollDup() {
-		n.deliverCore(cur, false)
-	}
-	return del
-}
-
-// deliverCore is the fault-free delivery pipeline.
-func (n *Network) deliverCore(pkt *ipv4.Packet, skipGateway bool) Delivery {
-	start := n.Clock.Now()
-	n.captureAt(CaptureDeviceEgress, pkt)
-
-	// Emulator NIC cost.
-	switch n.NIC {
-	case ModeSLIRP:
-		n.Clock.Advance(n.Model.SlirpPerPacket)
-	default:
-		n.Clock.Advance(n.Model.TapPerPacket)
-	}
-
-	cur := pkt
-	var d Delivery
-	gw := n.GatewayFor(pkt.Header.Src)
-	if !skipGateway && gw != nil && gw.Active() {
-		// Kernel→user-space→kernel hop for the queue reader.
-		n.Clock.Advance(n.Model.NFQueueHopPerPacket)
-		if gw.HasEnforcer() {
-			n.Clock.Advance(n.Model.EnforcerPerPacket)
-		}
-		if gw.HasSanitizer() {
-			n.Clock.Advance(n.Model.SanitizerPerPacket)
-		}
-		out, res, err := gw.Process(cur)
-		d.Enforcement = res
-		if err != nil || out == nil {
-			d.Stage = StageGateway
-			d.Latency = n.Clock.Now() - start
-			return d
-		}
-		cur = out
-	}
-	closed := n.serveOne(cur, &d)
-	// The response traverses the gateway's queue on the way back in
-	// (conntrack reinjection into the same NFQUEUE reader), where the
-	// response half of the connection's verdict state is enforced.
-	if d.Delivered && !skipGateway && gw != nil && gw.Active() {
-		n.Clock.Advance(n.Model.NFQueueHopPerPacket)
-		n.checkResponse(gw, pkt, &d)
-		if closed {
-			// Legacy-payload fallback only: a plain-HTTP connection
-			// announced its end via "Connection: close", so tear the
-			// flow's cached verdict down (the sanitized copy lost its
-			// tag, so the teardown keys on the original device-egress
-			// packet). Transport flows never reach here — the gateway's
-			// conntrack already handled their FIN/RST.
-			gw.CloseFlow(pkt)
-		}
-	}
-	d.Latency = n.Clock.Now() - start
-	return d
-}
-
-// serveOne is the post-gateway delivery tail shared by the scalar and
-// batch paths: post-gateway capture, route lookup, RFC 7126 border
-// filtering, wire/server virtual-time charges, and the application
-// response. Packets carrying a transport header are served through it —
+// serveOne is the post-gateway delivery tail of one packet: post-gateway
+// capture, route lookup, RFC 7126 border filtering, wire/server
+// virtual-time charges, and the application response. Packets carrying a transport header are served through it —
 // HTTP requests out of TCP data segments (control segments deliver with
 // no response), UDP datagrams through the server's UDPHandler. Flow
 // lifecycle for those is the gateway conntrack's job, so connClosed is
@@ -524,16 +436,24 @@ func (n *Network) serveRequest(srv *Server, req *httpsim.Request, d *Delivery) {
 // reader delays individual packets until its drain completes.
 //
 // With a fault plan armed, faults apply per packet on the wire view of the
-// burst before the gateway drain: drops remove packets (StageFault),
+// burst before the gateway drain: drops remove packets (StageFault; the
+// device-egress capture still logs them, since they left the device),
 // duplicates insert extra copies, corruption/truncation damage payload
 // clones, reorders swap wire neighbours, and delays stretch the burst
 // window in virtual time. Deliveries still align one-to-one with pkts —
 // a duplicate's extra outcome is discarded, a reordered packet reports
 // its own fate wherever it landed on the wire.
 func (n *Network) DeliverBatch(pkts []*ipv4.Packet) []Delivery {
+	return n.deliverBatch(pkts, false)
+}
+
+// deliverBatch implements DeliverBatch; skipGateway models paths (like
+// the mobile carrier) that never touch the corporate perimeter — neither
+// its wire faults nor its gateways.
+func (n *Network) deliverBatch(pkts []*ipv4.Packet, skipGateway bool) []Delivery {
 	f := n.faults.Load()
-	if f == nil || len(pkts) == 0 {
-		return n.deliverBatchCore(pkts)
+	if f == nil || skipGateway || len(pkts) == 0 {
+		return n.deliverBatchCore(pkts, skipGateway)
 	}
 	out := make([]Delivery, len(pkts))
 	// Build the wire view: what the gateway-side of the link actually
@@ -544,6 +464,7 @@ func (n *Network) DeliverBatch(pkts []*ipv4.Packet) []Delivery {
 	var delay time.Duration
 	for i, pkt := range pkts {
 		if f.rollDrop() {
+			n.captureAt(CaptureDeviceEgress, pkt)
 			out[i] = Delivery{Stage: StageFault}
 			continue
 		}
@@ -570,7 +491,7 @@ func (n *Network) DeliverBatch(pkts []*ipv4.Packet) []Delivery {
 		}
 	}
 	n.Clock.Advance(delay)
-	res := n.deliverBatchCore(wire)
+	res := n.deliverBatchCore(wire, false)
 	for j, d := range res {
 		if origIdx[j] >= 0 {
 			out[origIdx[j]] = d
@@ -579,8 +500,9 @@ func (n *Network) DeliverBatch(pkts []*ipv4.Packet) []Delivery {
 	return out
 }
 
-// deliverBatchCore is the fault-free batch pipeline.
-func (n *Network) deliverBatchCore(pkts []*ipv4.Packet) []Delivery {
+// deliverBatchCore is the fault-free pipeline; skipGateway routes every
+// packet straight to the border and its server.
+func (n *Network) deliverBatchCore(pkts []*ipv4.Packet, skipGateway bool) []Delivery {
 	out := make([]Delivery, len(pkts))
 	if len(pkts) == 0 {
 		return out
@@ -601,8 +523,14 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet) []Delivery {
 	// charges its per-packet enforcement/sanitizing costs and drains its
 	// slice through its own per-core worker pool.
 	outcomes := make([]BatchOutcome, len(pkts))
-	groups := n.partitionByGateway(pkts)
-	activeGateways := 0
+	var groups []gwGroup
+	if skipGateway {
+		for i, pkt := range pkts {
+			outcomes[i] = BatchOutcome{Out: pkt}
+		}
+	} else {
+		groups = n.partitionByGateway(pkts)
+	}
 	for gi := range groups {
 		g := &groups[gi]
 		if g.gw == nil || !g.gw.Active() {
@@ -611,7 +539,6 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet) []Delivery {
 			}
 			continue
 		}
-		activeGateways++
 		n.Clock.Advance(n.Model.NFQueueHopPerPacket)
 		per := time.Duration(0)
 		if g.gw.HasEnforcer() {
@@ -634,27 +561,49 @@ func (n *Network) deliverBatchCore(pkts []*ipv4.Packet) []Delivery {
 			out[i].Stage = StageGateway
 			continue
 		}
-		if n.serveOne(o.Out, &out[i]) {
-			// Legacy-payload teardown, as on the scalar path, keyed on the
-			// still-tagged device-egress packet at its own gateway.
-			if gw := n.GatewayFor(pkts[i].Header.Src); gw != nil && gw.Active() {
-				gw.CloseFlow(pkts[i])
-			}
+		closed := n.serveOne(o.Out, &out[i])
+		if skipGateway || (out[i].Response == nil && !closed) {
+			continue // nothing returns through the gateway
 		}
-		if out[i].Delivered && out[i].Response != nil {
-			if gw := n.GatewayFor(pkts[i].Header.Src); gw != nil && gw.Active() {
-				n.checkResponse(gw, pkts[i], &out[i])
-			}
+		gw := n.GatewayFor(pkts[i].Header.Src)
+		if gw == nil || !gw.Active() {
+			continue
+		}
+		n.checkResponse(gw, pkts[i], &out[i])
+		if closed {
+			// Legacy-payload fallback only: a plain-HTTP connection
+			// announced its end via "Connection: close", so tear the
+			// flow's cached verdict down (the sanitized copy lost its tag,
+			// so the teardown keys on the still-tagged device-egress
+			// packet). Transport flows never reach here — the gateway's
+			// conntrack already handled their FIN/RST.
+			gw.CloseFlow(pkts[i])
 		}
 	}
-	// The responses traverse each involved gateway's queue on the way back
-	// in — one reinjection hop per gateway touched by the burst.
-	n.Clock.Advance(n.Model.NFQueueHopPerPacket * time.Duration(activeGateways))
+	// The responses traverse the gateway's queue on the way back in
+	// (conntrack reinjection into the same NFQUEUE reader): one hop per
+	// gateway that delivered at least one packet of the burst.
+	for gi := range groups {
+		if g := &groups[gi]; g.gw != nil && g.gw.Active() && anyDelivered(out, g.idx) {
+			n.Clock.Advance(n.Model.NFQueueHopPerPacket)
+		}
+	}
 	total := n.Clock.Now() - start
 	for i := range out {
 		out[i].Latency = total
 	}
 	return out
+}
+
+// anyDelivered reports whether any of the indexed deliveries reached its
+// server.
+func anyDelivered(out []Delivery, idx []int) bool {
+	for _, i := range idx {
+		if out[i].Delivered {
+			return true
+		}
+	}
+	return false
 }
 
 // gwGroup is one gateway's slice of a burst: the packets it fronts and

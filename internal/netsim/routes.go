@@ -50,24 +50,22 @@ const VPNPerPacket = 12 * time.Millisecond
 // MobilePerPacket is the cellular access latency on the mobile route.
 const MobilePerPacket = 35 * time.Millisecond
 
-// DeliverRoute pushes one packet along the selected route. RouteDirect is
-// identical to Deliver. RouteVPN charges tunnel latency, then traverses
-// the gateway as usual. RouteMobile skips the gateway but keeps the
-// RFC 7126 border: the carrier drops optioned packets. The returned
-// latency includes the route's access cost.
+// DeliverRoute pushes one packet along the selected route, as a burst of
+// one through the same pipeline as DeliverBatch. RouteDirect is identical
+// to Deliver. RouteVPN charges tunnel latency, then traverses the gateway
+// as usual. RouteMobile skips the gateway but keeps the RFC 7126 border:
+// the carrier drops optioned packets. The returned latency includes the
+// route's access cost.
 func (n *Network) DeliverRoute(pkt *ipv4.Packet, route Route) Delivery {
 	start := n.Clock.Now()
-	var d Delivery
 	switch route {
 	case RouteVPN:
 		n.Clock.Advance(VPNPerPacket)
-		d = n.deliver(pkt, false)
 	case RouteMobile:
 		n.Clock.Advance(MobilePerPacket)
-		d = n.deliver(pkt, true)
-	default:
-		d = n.deliver(pkt, false)
 	}
+	one := [1]*ipv4.Packet{pkt}
+	d := n.deliverBatch(one[:], route == RouteMobile)[0]
 	d.Latency = n.Clock.Now() - start
 	return d
 }
