@@ -212,19 +212,16 @@ func DefaultCorpusConfig() CorpusConfig {
 // In a Fleet the network is shared between sibling deployments and each
 // owns just its gateway; stand-alone, the deployment owns both.
 type Deployment struct {
-	name      string
-	device    *android.Device
-	manager   *contextmgr.Manager
-	db        *analyzer.Database
-	engine    *policy.Engine
-	enforcer  *enforcer.Enforcer
-	sanitizer *sanitizer.Sanitizer
-	network   *netsim.Network
-	gateway   *netsim.Gateway
-	audit     *audit.Log
-	policy    *policystore.Store
-	context   *devctx.Source
-	metrics   *metrics.Registry
+	name    string
+	device  *android.Device
+	db      *analyzer.Database
+	engine  *policy.Engine
+	network *netsim.Network
+	gateway *netsim.Gateway
+	audit   *audit.Log
+	policy  *policystore.Store
+	context *devctx.Source
+	metrics *metrics.Registry
 }
 
 // MetricsRegistry holds every component's registered instruments and
@@ -378,10 +375,6 @@ func build(cfg Config, network *netsim.Network, name string) (*Deployment, error
 			Capacity: cfg.Flow.CacheSize, // 0 = flowtable default
 			TTL:      ttl,
 			Clock:    network.Clock,
-			// Negative-cache admission guard: unique-flow floods (SYN
-			// floods of crafted tags) are turned away at a per-shard
-			// recent-miss ring instead of evicting live flows.
-			MissRing: 64,
 		})
 	}
 	enf := enforcer.New(enfCfg, db, engine)
@@ -408,7 +401,9 @@ func build(cfg Config, network *netsim.Network, name string) (*Deployment, error
 	})
 
 	reg := metrics.NewRegistry()
+	manager.RegisterMetrics(reg)
 	enf.RegisterMetrics(reg)
+	san.RegisterMetrics(reg)
 	gw.RegisterMetrics(reg)
 	auditLog.RegisterMetrics(reg)
 	if store != nil {
@@ -416,19 +411,16 @@ func build(cfg Config, network *netsim.Network, name string) (*Deployment, error
 	}
 
 	return &Deployment{
-		name:      name,
-		device:    device,
-		manager:   manager,
-		db:        db,
-		engine:    engine,
-		enforcer:  enf,
-		sanitizer: san,
-		network:   network,
-		gateway:   gw,
-		audit:     auditLog,
-		policy:    store,
-		context:   ctxSrc,
-		metrics:   reg,
+		name:    name,
+		device:  device,
+		db:      db,
+		engine:  engine,
+		network: network,
+		gateway: gw,
+		audit:   auditLog,
+		policy:  store,
+		context: ctxSrc,
+		metrics: reg,
 	}, nil
 }
 
@@ -492,7 +484,8 @@ func (d *Deployment) SetPolicy(doc string) error {
 // ReloadPolicy runs one synchronous policy-store reload cycle: fetch the
 // backend, and — when the document changed — compile and atomically swap
 // the rules. Reports whether a new rule set was applied. On error the
-// last-good rules keep serving (the failure is visible in Stats). Returns
+// last-good rules keep serving (the failure is visible in PolicyStoreStats
+// and the bp_policy_reloads_total{outcome="failed"} series). Returns
 // an error when no PolicySource is configured.
 func (d *Deployment) ReloadPolicy() (applied bool, err error) {
 	if d.policy == nil {
@@ -616,168 +609,6 @@ func (d *Deployment) Device() *android.Device { return d.device }
 // invalidates the cached verdicts of affected flows on their next packet.
 func (d *Deployment) Context() *ContextSource { return d.context }
 
-// DeploymentStats aggregates component counters.
-//
-// Deprecated: the metrics registry is the canonical observability surface
-// — Deployment.Metrics (one gateway) and Fleet.Metrics (every gateway,
-// one scrape) expose the same counters and more, queryable by family and
-// label and renderable as Prometheus text. DeploymentStats remains as a
-// thin view computed from the registry snapshot (plus the few componental
-// readings, like tagger counters, that have no metric family yet).
-type DeploymentStats struct {
-	SocketsTagged    uint64
-	TagFailures      uint64
-	PacketsProcessed uint64
-	PacketsAccepted  uint64
-	PacketsDropped   uint64
-	PacketsCleansed  uint64
-	// PolicyEvaluations counts packets that reached the compiled policy
-	// engine (tagged, known app, decodable stack).
-	PolicyEvaluations uint64
-	// PolicyDefaultHits counts evaluations decided by the default verdict
-	// rather than an explicit rule.
-	PolicyDefaultHits uint64
-	// FlowCacheHits counts packets answered by the per-flow verdict cache
-	// (plus the batch drain's same-flow memo) without decoding anything.
-	FlowCacheHits uint64
-	// FlowCacheMisses counts packets that paid the full pipeline and
-	// (re)filled the cache.
-	FlowCacheMisses uint64
-	// FlowCacheEvictions counts flows evicted under capacity pressure.
-	FlowCacheEvictions uint64
-	// FlowNegCacheDrops counts inserts turned away by the flow table's
-	// negative-cache admission guard — the unique-flow-flood (SYN flood)
-	// signature: first-seen flows hitting a full shard are noted in a
-	// per-shard recent-miss ring instead of evicting a live flow.
-	FlowNegCacheDrops uint64
-	// FlowsLive is the number of flows currently cached.
-	FlowsLive int
-	// ConnsEstablished counts TCP connections the gateway's conntrack saw
-	// open (SYN accepted); ConnsClosed counts FIN/RST teardowns — each of
-	// which deleted the flow's cached verdict immediately. ConnsOpen is
-	// the current tracked count.
-	ConnsEstablished uint64
-	ConnsClosed      uint64
-	ConnsOpen        int
-	// AuditRecorded counts decisions accepted by the async audit pipeline.
-	AuditRecorded uint64
-	// AuditDropped counts decisions shed under audit backpressure (bounded
-	// queue full) — enforcement never blocks on the audit trail.
-	AuditDropped uint64
-	// AuditPending is the approximate number of audit entries not yet
-	// drained to the writer/tail.
-	AuditPending uint64
-	// PolicyReloads counts applied policy swaps from the configured
-	// PolicySource, including the initial load (0 without a source).
-	PolicyReloads uint64
-	// PolicyReloadFailures counts candidate policies rejected by a fetch,
-	// parse, or compile error; each rejection left the last-good rules
-	// serving.
-	PolicyReloadFailures uint64
-	// PolicyVersion identifies the active policy revision ("" without a
-	// source).
-	PolicyVersion string
-	// PolicyLastError describes the most recent rejected candidate (""
-	// after a clean reload).
-	PolicyLastError string
-	// PolicyDegraded reports whether the store is past its staleness
-	// deadline and a fail-open/fail-closed override is active;
-	// PolicyDegradedEnters counts how many times that happened, and
-	// PolicyDegradedHits counts packets decided by the override.
-	PolicyDegraded       bool
-	PolicyDegradedEnters uint64
-	PolicyDegradedHits   uint64
-	// PolicyLastGoodAge is how long ago the store last completed a healthy
-	// reload cycle (0 without a source).
-	PolicyLastGoodAge time.Duration
-	// ConnsTimeWait is the number of recently-closed connections parked in
-	// the conntrack's TIME_WAIT analogue; ConnsDupCloses counts duplicate
-	// FIN/RST deliveries absorbed there, ConnsLateSYNs counts SYNs that
-	// arrived for a connection still in TIME_WAIT (not resurrected), and
-	// ConnsIdleReclaimed counts half-open connections reclaimed by
-	// SweepIdle after their FIN was lost.
-	ConnsTimeWait      int
-	ConnsDupCloses     uint64
-	ConnsLateSYNs      uint64
-	ConnsIdleReclaimed uint64
-	// GatewayRestarts counts RestartGateway calls.
-	GatewayRestarts uint64
-	// WireFaults counts faults injected by the active FaultPlan (zero
-	// value when none was installed).
-	WireFaults FaultStats
-}
-
-// statsView indexes one registry snapshot by family name and label set so
-// DeploymentStats fields read like metric queries.
-type statsView map[string]float64
-
-func snapshotView(reg *metrics.Registry) statsView {
-	v := make(statsView)
-	for _, s := range reg.Snapshot() {
-		if s.Hist != nil {
-			continue
-		}
-		key := s.Name
-		for _, l := range s.Labels {
-			key += ";" + l.Key + "=" + l.Value
-		}
-		v[key] += s.Value
-	}
-	return v
-}
-
-// u reads a counter series (0 when the family was never registered, e.g.
-// flow caching disabled or no policy source).
-func (v statsView) u(key string) uint64 { return uint64(v[key]) }
-
-// Stats snapshots counters across the deployment. Everything with a
-// metric family is computed from the same registry snapshot that a
-// Prometheus scrape would see; only series-less readings (tagger and
-// sanitizer counters, policy version strings) come from the components.
-//
-// Deprecated: prefer Deployment.Metrics (see DeploymentStats).
-func (d *Deployment) Stats() DeploymentStats {
-	cm := d.manager.Stats()
-	sn := d.sanitizer.Stats()
-	ps := d.policy.Stats()
-	v := snapshotView(d.metrics)
-	return DeploymentStats{
-		SocketsTagged:        cm.SocketsTagged,
-		TagFailures:          cm.TagFailures,
-		PacketsProcessed:     v.u("bp_enforcer_verdicts_total;decision=allow") + v.u("bp_enforcer_verdicts_total;decision=drop"),
-		PacketsAccepted:      v.u("bp_enforcer_verdicts_total;decision=allow"),
-		PacketsDropped:       v.u("bp_enforcer_verdicts_total;decision=drop"),
-		PacketsCleansed:      sn.Cleansed,
-		PolicyEvaluations:    v.u("bp_policy_evaluations_total"),
-		PolicyDefaultHits:    v.u("bp_policy_default_hits_total"),
-		FlowCacheHits:        v.u("bp_flowtable_hits_total") + v.u("bp_enforcer_batch_memo_hits_total"),
-		FlowCacheMisses:      v.u("bp_flowtable_misses_total"),
-		FlowCacheEvictions:   v.u("bp_flowtable_evictions_total"),
-		FlowNegCacheDrops:    v.u("bp_flowtable_admission_drops_total"),
-		FlowsLive:            int(v["bp_flowtable_live"]),
-		ConnsEstablished:     v.u("bp_conntrack_transitions_total;kind=established"),
-		ConnsClosed:          v.u("bp_conntrack_transitions_total;kind=closed"),
-		ConnsOpen:            int(v["bp_conntrack_connections;state=open"]),
-		AuditRecorded:        v.u("bp_audit_recorded_total"),
-		AuditDropped:         v.u("bp_audit_dropped_total"),
-		AuditPending:         v.u("bp_audit_queue_depth"),
-		PolicyReloads:        v.u("bp_policy_reloads_total;outcome=applied"),
-		PolicyReloadFailures: v.u("bp_policy_reloads_total;outcome=failed"),
-		PolicyVersion:        ps.Version,
-		PolicyLastError:      ps.LastError,
-		PolicyDegraded:       ps.Degraded,
-		PolicyDegradedEnters: v.u("bp_policy_degraded_enters_total"),
-		PolicyDegradedHits:   v.u("bp_policy_degraded_hits_total"),
-		PolicyLastGoodAge:    ps.LastGoodAge,
-		ConnsTimeWait:        int(v["bp_conntrack_connections;state=time_wait"]),
-		ConnsDupCloses:       v.u("bp_conntrack_transitions_total;kind=dup_close"),
-		ConnsLateSYNs:        v.u("bp_conntrack_transitions_total;kind=late_syn"),
-		ConnsIdleReclaimed:   v.u("bp_conntrack_transitions_total;kind=idle_reclaimed"),
-		GatewayRestarts:      v.u("bp_gateway_restarts_total"),
-		WireFaults:           d.network.FaultStats(),
-	}
-}
-
 // Experiment entry points (one per paper table/figure). See EXPERIMENTS.md
 // for the recorded paper-vs-measured comparison.
 var (
@@ -810,9 +641,6 @@ var (
 	// fail-safe invariant (no fault sequence converts a deny into a
 	// delivery).
 	RunSoak = experiments.RunSoak
-	// RunPipelineBench measures the instrumented enforcement paths and
-	// scrapes their latency histograms (machine-readable via WriteJSON).
-	RunPipelineBench = experiments.RunPipelineBench
 	// RunFleetBench drives the multi-gateway fleet workload: N sharded
 	// gateways, pooled devices, mixed HTTP+DNS traffic, a mid-run
 	// fleet-wide policy push, and leak accounting (machine-readable via
@@ -840,10 +668,6 @@ type (
 	SoakResult = experiments.SoakResult
 	// SoakSnapshot is one in-run resource reading of a soak run.
 	SoakSnapshot = experiments.SoakSnapshot
-	// PipelineBenchConfig sizes the pipeline benchmark.
-	PipelineBenchConfig = experiments.PipelineBenchConfig
-	// PipelineBenchResult reports the pipeline benchmark.
-	PipelineBenchResult = experiments.PipelineBenchResult
 	// FleetRunConfig sizes the fleet benchmark (RunFleetBench).
 	FleetRunConfig = experiments.FleetRunConfig
 	// FleetBenchResult reports the fleet benchmark (Check asserts zero

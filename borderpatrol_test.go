@@ -56,7 +56,10 @@ func demoFuncs() []Functionality {
 	}
 }
 
-func TestDeploymentEndToEnd(t *testing.T) {
+// endToEndDeployment is the demo app installed behind a policy that
+// blocks the tracker library and the upload method.
+func endToEndDeployment(t *testing.T) (*Deployment, *App) {
+	t.Helper()
 	dep, err := New(Config{Policy: PolicyConfig{Doc: `
 // block the tracker library and the upload method
 {[deny][library]["com/flurry"]}
@@ -69,6 +72,11 @@ func TestDeploymentEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dep, app
+}
+
+func TestDeploymentEndToEnd(t *testing.T) {
+	dep, app := endToEndDeployment(t)
 
 	// Download flows: one TCP connection, three packets (SYN, request,
 	// FIN), every one delivered and attributed to the download context.
@@ -115,16 +123,45 @@ func TestDeploymentEndToEnd(t *testing.T) {
 		t.Fatal("analytics not blocked")
 	}
 
-	st := dep.Stats()
-	if st.SocketsTagged != 3 || st.PacketsDropped != 6 || st.PacketsAccepted != 3 {
-		t.Fatalf("stats = %+v", st)
+	tagged := metricValue(t, dep, "bp_tagger_sockets_tagged_total")
+	accepted := metricValue(t, dep, `bp_enforcer_verdicts_total{decision="allow"}`)
+	dropped := metricValue(t, dep, `bp_enforcer_verdicts_total{decision="drop"}`)
+	if tagged != 3 || dropped != 6 || accepted != 3 {
+		t.Fatalf("tagged %v accepted %v dropped %v, want 3/3/6", tagged, accepted, dropped)
 	}
-	if st.PacketsCleansed != 3 {
-		t.Fatalf("sanitizer cleansed %d packets, want 3 (the delivered connection)", st.PacketsCleansed)
+	if v := metricValue(t, dep, `bp_sanitizer_packets_total{outcome="cleansed"}`); v != 3 {
+		t.Fatalf("sanitizer cleansed %v packets, want 3 (the delivered connection)", v)
 	}
 	// The download connection's FIN tore its flow down via conntrack.
-	if st.ConnsEstablished != 1 || st.ConnsClosed != 1 {
-		t.Fatalf("conntrack stats = est %d closed %d, want 1/1", st.ConnsEstablished, st.ConnsClosed)
+	assertConntrack(t, dep, 1, 1)
+}
+
+// TestTaggerAndSanitizerMetrics: after the end-to-end workload (one
+// download, one upload, one analytics connection) the tagger and sanitizer
+// families report 3 tagged sockets and the delivered connection's 3
+// cleansed packets, and they read the same counters as the sanitizer's
+// own Stats.
+func TestTaggerAndSanitizerMetrics(t *testing.T) {
+	dep, app := endToEndDeployment(t)
+	defer dep.Close()
+	for _, fn := range []string{"download", "upload", "analytics"} {
+		if _, err := dep.Exercise(app, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := metricValue(t, dep, "bp_tagger_sockets_tagged_total"); v != 3 {
+		t.Fatalf("sockets tagged = %v, want 3", v)
+	}
+	if v := metricValue(t, dep, "bp_tagger_tag_failures_total"); v != 0 {
+		t.Fatalf("tag failures = %v, want 0", v)
+	}
+	cleansed := metricValue(t, dep, `bp_sanitizer_packets_total{outcome="cleansed"}`)
+	clean := metricValue(t, dep, `bp_sanitizer_packets_total{outcome="already_clean"}`)
+	if cleansed != 3 || clean != 0 {
+		t.Fatalf("sanitizer = cleansed %v already clean %v, want 3/0", cleansed, clean)
+	}
+	if st := dep.gateway.Sanitizer().Stats(); float64(st.Cleansed) != cleansed || float64(st.AlreadyClean) != clean {
+		t.Fatalf("sanitizer Stats = %+v, metrics = %v/%v", st, cleansed, clean)
 	}
 }
 

@@ -165,9 +165,6 @@ func run() error {
 	// component registered shows up here automatically — no hand-listed
 	// fields to fall out of date when a layer grows a counter.
 	printRegistry(tb.Metrics)
-	cm := tb.Manager.Stats()
-	fmt.Printf("context manager: sockets tagged=%d, frames resolved=%d, framework frames filtered=%d\n",
-		cm.SocketsTagged, cm.FramesResolved, cm.FramesDropped)
 
 	metricsFlags.Wait(os.Stdout)
 	return nil

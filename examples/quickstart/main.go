@@ -120,7 +120,30 @@ func main() {
 		fmt.Println()
 	}
 
-	st := dep.Stats()
+	// 5. Every component reports through the deployment's metrics registry
+	//    (the same series a Prometheus scrape of /metrics would show).
+	reg := dep.Metrics()
+	accepted := series(reg, "bp_enforcer_verdicts_total", "decision", "allow")
+	dropped := series(reg, "bp_enforcer_verdicts_total", "decision", "drop")
 	fmt.Printf("summary: %d sockets tagged, %d packets enforced (%d accepted, %d dropped), %d cleansed at the border\n",
-		st.SocketsTagged, st.PacketsProcessed, st.PacketsAccepted, st.PacketsDropped, st.PacketsCleansed)
+		series(reg, "bp_tagger_sockets_tagged_total"), accepted+dropped, accepted, dropped,
+		series(reg, "bp_sanitizer_packets_total", "outcome", "cleansed"))
+}
+
+// series reads one counter series from the registry: the family name and
+// its exact label set as key, value pairs (0 when absent).
+func series(reg *borderpatrol.MetricsRegistry, name string, labels ...string) uint64 {
+	for _, s := range reg.Snapshot() {
+		if s.Name != name || 2*len(s.Labels) != len(labels) {
+			continue
+		}
+		match := true
+		for i, l := range s.Labels {
+			match = match && l.Key == labels[2*i] && l.Value == labels[2*i+1]
+		}
+		if match {
+			return uint64(s.Value)
+		}
+	}
+	return 0
 }

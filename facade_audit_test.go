@@ -37,12 +37,13 @@ func TestAuditPipelineEndToEnd(t *testing.T) {
 	if len(tail) != 12 {
 		t.Fatalf("audit tail has %d entries, want 12", len(tail))
 	}
-	st := dep.Stats()
-	if st.AuditRecorded != 12 || st.AuditDropped != 0 {
-		t.Fatalf("audit stats = recorded %d dropped %d", st.AuditRecorded, st.AuditDropped)
+	recorded := metricValue(t, dep, "bp_audit_recorded_total")
+	shed := metricValue(t, dep, "bp_audit_dropped_total")
+	if recorded != 12 || shed != 0 {
+		t.Fatalf("audit = recorded %v dropped %v", recorded, shed)
 	}
-	if st.AuditPending != 0 {
-		t.Fatalf("audit pending = %d after flush", st.AuditPending)
+	if v := metricValue(t, dep, "bp_audit_queue_depth"); v != 0 {
+		t.Fatalf("audit pending = %v after flush", v)
 	}
 	drop := tail[len(tail)-1]
 	if drop.Verdict != "drop" || drop.Cause != "policy" {
@@ -53,18 +54,14 @@ func TestAuditPipelineEndToEnd(t *testing.T) {
 	// The analytics flow was dropped — its FIN died with the rest of the
 	// connection — so its drop verdict deliberately stays cached, keeping
 	// repeat offenders cheap to block.
-	if st.FlowsLive != 1 {
-		t.Fatalf("flows live = %d, want 1 (only the dropped analytics flow)", st.FlowsLive)
+	if v := metricValue(t, dep, "bp_flowtable_live"); v != 1 {
+		t.Fatalf("flows live = %v, want 1 (only the dropped analytics flow)", v)
 	}
-	if st.ConnsEstablished != 3 || st.ConnsClosed != 3 {
-		t.Fatalf("conntrack = est %d closed %d, want 3/3", st.ConnsEstablished, st.ConnsClosed)
-	}
+	assertConntrack(t, dep, 3, 3)
 	// Per download connection: the SYN misses, request + FIN hit; ports
 	// separate the connections so none shares an entry. Analytics: SYN
 	// misses, request + FIN hit the cached drop. 4 misses, 8 hits.
-	if st.FlowCacheMisses != 4 || st.FlowCacheHits != 8 {
-		t.Fatalf("flow stats = hits %d misses %d, want 8/4", st.FlowCacheHits, st.FlowCacheMisses)
-	}
+	assertFlowCache(t, dep, 8, 4)
 
 	if err := dep.Close(); err != nil {
 		t.Fatal(err)
@@ -98,17 +95,34 @@ func TestKeepAliveFlowsStayCachedEndToEnd(t *testing.T) {
 	if len(out) != 7 {
 		t.Fatalf("outcomes = %d, want 7 (SYN + 5 requests + FIN)", len(out))
 	}
-	st := dep.Stats()
-	if st.FlowCacheMisses != 1 || st.FlowCacheHits != 6 {
-		t.Fatalf("flow stats = hits %d misses %d, want 6/1", st.FlowCacheHits, st.FlowCacheMisses)
+	assertFlowCache(t, dep, 6, 1)
+	if v := metricValue(t, dep, "bp_flowtable_live"); v != 0 {
+		t.Fatalf("flows live = %v, want 0 (FIN tore the connection down)", v)
 	}
-	if st.FlowsLive != 0 {
-		t.Fatalf("flows live = %d, want 0 (FIN tore the connection down)", st.FlowsLive)
+	assertConntrack(t, dep, 1, 1)
+	if v := metricValue(t, dep, "bp_audit_recorded_total"); v != 7 {
+		t.Fatalf("audit recorded = %v, want 7", v)
 	}
-	if st.ConnsEstablished != 1 || st.ConnsClosed != 1 {
-		t.Fatalf("conntrack = est %d closed %d, want 1/1", st.ConnsEstablished, st.ConnsClosed)
+}
+
+// assertFlowCache checks the verdict-cache hit and miss totals. Hits count
+// the flow table and the batch drain's same-flow memo together.
+func assertFlowCache(t *testing.T, dep *Deployment, hits, misses float64) {
+	t.Helper()
+	h := metricValue(t, dep, "bp_flowtable_hits_total") + metricValue(t, dep, "bp_enforcer_batch_memo_hits_total")
+	m := metricValue(t, dep, "bp_flowtable_misses_total")
+	if h != hits || m != misses {
+		t.Fatalf("flow cache = hits %v misses %v, want %v/%v", h, m, hits, misses)
 	}
-	if st.AuditRecorded != 7 {
-		t.Fatalf("audit recorded = %d, want 7", st.AuditRecorded)
+}
+
+// assertConntrack checks the gateway conntrack's established and closed
+// transition totals.
+func assertConntrack(t *testing.T, dep *Deployment, established, closed float64) {
+	t.Helper()
+	est := metricValue(t, dep, `bp_conntrack_transitions_total{kind="established"}`)
+	cl := metricValue(t, dep, `bp_conntrack_transitions_total{kind="closed"}`)
+	if est != established || cl != closed {
+		t.Fatalf("conntrack = est %v closed %v, want %v/%v", est, cl, established, closed)
 	}
 }

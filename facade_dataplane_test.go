@@ -24,6 +24,16 @@ func scrapeValue(t *testing.T, prom, series string) float64 {
 	return 0
 }
 
+// metricValue scrapes the deployment's registry and reads one series.
+func metricValue(t *testing.T, dep *Deployment, series string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := dep.Metrics().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return scrapeValue(t, sb.String(), series)
+}
+
 // TestDeploymentDataplane turns the per-core match-action stage on through
 // the public facade and pins two things: verdicts are identical to the
 // enforcer-only path (download delivered, upload and analytics dropped at

@@ -11,7 +11,7 @@ import (
 // TestDeploymentFilePolicyHotReload drives the multi-backend policy store
 // through the facade: a deployment built over a FilePolicySource hot-swaps
 // an edited policy file without restart, keeps the last-good rules when the
-// edit is malformed, and surfaces the reload counters in DeploymentStats.
+// edit is malformed, and surfaces the reload counters in its metrics.
 func TestDeploymentFilePolicyHotReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "policy.bp")
 	writePolicy(t, path, `{[deny][library]["com/flurry"]}`)
@@ -55,14 +55,17 @@ func TestDeploymentFilePolicyHotReload(t *testing.T) {
 	assertOutcome(t, dep, app, "analytics", false)
 	assertOutcome(t, dep, app, "download", true)
 
-	st := dep.Stats()
-	if st.PolicyReloads != 2 || st.PolicyReloadFailures != 1 {
-		t.Fatalf("reload stats = %+v", st)
+	if n := metricValue(t, dep, `bp_policy_reloads_total{outcome="applied"}`); n != 2 {
+		t.Fatalf("applied reloads = %v, want 2", n)
 	}
-	if st.PolicyVersion == "" || !strings.Contains(st.PolicyLastError, "line 1") {
-		t.Fatalf("version/error stats = %q / %q", st.PolicyVersion, st.PolicyLastError)
+	if n := metricValue(t, dep, `bp_policy_reloads_total{outcome="failed"}`); n != 1 {
+		t.Fatalf("failed reloads = %v, want 1", n)
 	}
-	if ps := dep.PolicyStoreStats(); ps.Applied != 2 || ps.Rules != 2 {
+	ps := dep.PolicyStoreStats()
+	if ps.Version == "" || !strings.Contains(ps.LastError, "line 1") {
+		t.Fatalf("version/error stats = %q / %q", ps.Version, ps.LastError)
+	}
+	if ps.Applied != 2 || ps.Rules != 2 {
 		t.Fatalf("store stats = %+v", ps)
 	}
 }
@@ -90,11 +93,12 @@ func TestDeploymentPolicyPollBackground(t *testing.T) {
 	time.Sleep(3 * time.Millisecond) // ensure a distinct mtime
 	writePolicy(t, path, `{[deny][method]["Lcom/corp/files/SyncEngine;->upload()V"]}`)
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && dep.Stats().PolicyReloads < 2 {
+	reloads := func() float64 { return metricValue(t, dep, `bp_policy_reloads_total{outcome="applied"}`) }
+	for time.Now().Before(deadline) && reloads() < 2 {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if st := dep.Stats(); st.PolicyReloads < 2 {
-		t.Fatalf("background poll never applied the edit: %+v", st)
+	if n := reloads(); n < 2 {
+		t.Fatalf("background poll never applied the edit: %v reloads", n)
 	}
 	assertOutcome(t, dep, app, "upload", false)
 	assertOutcome(t, dep, app, "analytics", true) // tracker rule replaced
@@ -113,8 +117,8 @@ func TestDeploymentStaticPolicySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertOutcome(t, dep, app, "analytics", false)
-	if st := dep.Stats(); st.PolicyReloads != 1 || st.PolicyVersion == "" {
-		t.Fatalf("stats = %+v", st)
+	if n := metricValue(t, dep, `bp_policy_reloads_total{outcome="applied"}`); n != 1 || dep.PolicyStoreStats().Version == "" {
+		t.Fatalf("reloads = %v, store stats = %+v", n, dep.PolicyStoreStats())
 	}
 }
 
@@ -143,8 +147,9 @@ func TestDeploymentPolicySourceExclusions(t *testing.T) {
 	if _, err := dep.ReloadPolicy(); err == nil {
 		t.Fatal("ReloadPolicy without a source succeeded")
 	}
-	if st := dep.Stats(); st.PolicyReloads != 0 || st.PolicyVersion != "" {
-		t.Fatalf("sourceless stats = %+v", st)
+	// No store, no bp_policy_* reload family: zero reloads, no version.
+	if ps := dep.PolicyStoreStats(); ps.Applied != 0 || ps.Version != "" {
+		t.Fatalf("sourceless stats = %+v", ps)
 	}
 }
 

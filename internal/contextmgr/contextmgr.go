@@ -18,6 +18,7 @@ import (
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/kernel"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netstack"
 	"borderpatrol/internal/tag"
 )
@@ -240,6 +241,23 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
+}
+
+// RegisterMetrics attaches the tagger's counters to a registry as the
+// bp_tagger_* families (devctx owns bp_context_*). All are scrape-time
+// closures over Stats; the socket hook is untouched.
+func (m *Manager) RegisterMetrics(r *metrics.Registry) {
+	r.CounterFunc("bp_tagger_sockets_tagged_total", "Sockets that received a context tag.",
+		func() uint64 { return m.Stats().SocketsTagged })
+	r.CounterFunc("bp_tagger_tag_failures_total", "Tagging attempts that failed (setsockopt or encode errors).",
+		func() uint64 { return m.Stats().TagFailures })
+	const frameHelp = "Stack frames seen at tagging time by outcome (dropped = framework frames not in app dex files)."
+	r.CounterFunc("bp_tagger_frames_total", frameHelp,
+		func() uint64 { return m.Stats().FramesResolved }, metrics.L("outcome", "resolved"))
+	r.CounterFunc("bp_tagger_frames_total", frameHelp,
+		func() uint64 { return m.Stats().FramesDropped }, metrics.L("outcome", "dropped"))
+	r.CounterFunc("bp_tagger_stacks_truncated_total", "Stacks truncated to the IP_OPTIONS budget.",
+		func() uint64 { return m.Stats().StacksTruncated })
 }
 
 // LastError returns the most recent tagging failure, if any.

@@ -9,6 +9,7 @@ import (
 	"borderpatrol/internal/dex"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/kernel"
+	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/tag"
 )
 
@@ -333,4 +334,47 @@ func TestSocketsTaggedOncePerConnection(t *testing.T) {
 	}
 	_ = m
 	_ = app
+}
+
+// TestRegisterMetricsMatchesStats: every bp_tagger_* series reads the same
+// counter Stats reports, on a patched kernel (sockets tagged, frames
+// resolved and dropped) and an unpatched one (tag failures).
+func TestRegisterMetricsMatchesStats(t *testing.T) {
+	for _, kcfg := range []kernel.Config{patched(), {}} {
+		_, m, app := provision(t, kcfg)
+		reg := metrics.NewRegistry()
+		m.RegisterMetrics(reg)
+		for _, fn := range []string{"download", "upload", "analytics"} {
+			if _, err := app.Invoke(fn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := m.Stats()
+		want := map[string]uint64{
+			"bp_tagger_sockets_tagged_total":   st.SocketsTagged,
+			"bp_tagger_tag_failures_total":     st.TagFailures,
+			"bp_tagger_frames_total/resolved":  st.FramesResolved,
+			"bp_tagger_frames_total/dropped":   st.FramesDropped,
+			"bp_tagger_stacks_truncated_total": st.StacksTruncated,
+		}
+		got := map[string]uint64{}
+		for _, smp := range reg.Snapshot() {
+			key := smp.Name
+			for _, l := range smp.Labels {
+				key += "/" + l.Value
+			}
+			got[key] = uint64(smp.Value)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("series = %v, want %v", got, want)
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("%s = %d, Stats says %d (stats %+v)", k, got[k], v, st)
+			}
+		}
+		if st.SocketsTagged+st.TagFailures != 3 {
+			t.Fatalf("stats = %+v, want 3 tagging attempts", st)
+		}
+	}
 }

@@ -66,8 +66,8 @@ func benchSetup(b *testing.B) (*enforcer.Enforcer, *ipv4.Packet) {
 	return enf, pkt
 }
 
-// warmCore promotes the packet past the doorkeeper so every later Probe
-// is a hit.
+// warmCore promotes the packet (twice, which lands it under any admission
+// rule) so every later Probe is a hit.
 func warmCore(b *testing.B, enf *enforcer.Enforcer, core kernel.DataplaneCore, pkt *ipv4.Packet) {
 	b.Helper()
 	res := enf.Process(pkt)
@@ -151,7 +151,8 @@ func keepAliveNetfilter(b *testing.B, withDP bool) (*kernel.Netfilter, []*ipv4.P
 	for i := range batch {
 		batch[i] = pkt
 	}
-	// Two warm batches: flow-cache fill, then doorkeeper pass + promotion.
+	// Two warm batches: flow-cache fill and promotion, so the timed loop
+	// is all table hits.
 	for i := 0; i < 2; i++ {
 		if _, err := nf.OutputBatch(batch); err != nil {
 			b.Fatal(err)

@@ -77,10 +77,12 @@ const (
 	// falls more than half the ring behind clears its whole table instead
 	// of replaying invalidation it may have lost to wrap-around.
 	purgeRingSize = 1024
-	// doorkeeperSize is the per-core recent-miss filter: a flow is
-	// promoted only on its second miss, so a flood of unique flows cannot
-	// churn established entries out of the table (the flat-table analogue
-	// of the flow table's miss-ring admission).
+	// doorkeeperSize is the per-core recent-miss filter. A promotion
+	// that finds room in its probe window lands at once; one that would
+	// evict a live entry lands only on the flow's second miss, so a flood
+	// of unique flows cannot churn established entries out of the table
+	// (the flat-table analogue of the flow table's miss-ring admission:
+	// admit while there is room, gate only under pressure).
 	doorkeeperSize = 64
 )
 
@@ -137,7 +139,8 @@ type Stats struct {
 	// promoted). Misses fell through to the full enforcer.
 	Hits, RuleHits, Misses uint64
 	// Promotions counts entries written; AdmissionSkips first-miss flows
-	// the doorkeeper refused to promote.
+	// the doorkeeper refused to promote because their probe window was
+	// full and promoting them would have evicted a live entry.
 	Promotions, AdmissionSkips uint64
 	// StaleDrops counts entries invalidated on contact by a generation
 	// change; Expired entries aged out by TTL.
@@ -556,7 +559,8 @@ func (c *Core) trackForwardSeq(e *entry, k *probeKey) {
 // the enforcer's *Result for the packet (anything else is ignored); the
 // entry is stamped with the lease's pre-evaluation generation, so if a
 // reconfiguration raced the evaluation the entry is born stale rather
-// than wrongly current. First-miss flows only prime the doorkeeper.
+// than wrongly current. A first-miss flow whose probe window is full only
+// primes the doorkeeper.
 func (c *Core) Promote(pkt *ipv4.Packet, v kernel.Verdict, aux any) {
 	res, ok := aux.(*enforcer.Result)
 	if !ok || res == nil {
@@ -590,8 +594,9 @@ func (c *Core) admit(digest uint64) bool {
 	return false
 }
 
-// insert places or refreshes an entry within the probe window, evicting
-// the oldest entry in the window when it is full.
+// insert places or refreshes an entry within the probe window. A free or
+// tombstoned slot takes it at once; when the window is full, the oldest
+// entry is evicted, but only for a flow the doorkeeper admits.
 func (c *Core) insert(digest uint64, k *probeKey, verdict, cause uint8, gen uint64) {
 	d := c.dp
 	slot := digest & c.mask
@@ -620,16 +625,14 @@ func (c *Core) insert(digest uint64, k *probeKey, verdict, cause uint8, gen uint
 			}
 		}
 	}
-	if !c.admit(digest) {
-		d.admissionSkips.Inc()
-		return
-	}
 	at := free
 	if at < 0 {
+		// Every slot in the window is live: promoting means evicting.
+		if !c.admit(digest) {
+			d.admissionSkips.Inc()
+			return
+		}
 		at = victim
-	}
-	if at < 0 {
-		return
 	}
 	e := &c.entries[at]
 	*e = entry{
@@ -682,7 +685,7 @@ func (d *Dataplane) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bp_dataplane_promotions_total",
 		"Slow-path outcomes promoted into per-core tables.", d.promotions.Value)
 	r.CounterFunc("bp_dataplane_admission_skips_total",
-		"First-miss flows the promotion doorkeeper refused.", d.admissionSkips.Value)
+		"First-miss flows the promotion doorkeeper refused (full probe window).", d.admissionSkips.Value)
 	r.CounterFunc("bp_dataplane_stale_drops_total",
 		"Entries invalidated on contact by a generation change.", d.staleDrops.Value)
 	r.CounterFunc("bp_dataplane_expired_total",

@@ -143,17 +143,11 @@ func TestMissPromoteHitRoundTrip(t *testing.T) {
 	if _, _, ok := core.Probe(allow); ok {
 		t.Fatal("empty table answered")
 	}
-	// First promotion only primes the doorkeeper; the second lands.
+	// The probe window has room, so the first promotion lands: the
+	// doorkeeper only gates evictions.
 	processAndPromote(enf, core, allow)
-	if st := dp.Stats(); st.Promotions != 0 || st.AdmissionSkips != 1 {
+	if st := dp.Stats(); st.Promotions != 1 || st.AdmissionSkips != 0 {
 		t.Fatalf("after first promote: %+v", st)
-	}
-	if _, _, ok := core.Probe(allow); ok {
-		t.Fatal("doorkeeper-primed flow answered")
-	}
-	processAndPromote(enf, core, allow)
-	if st := dp.Stats(); st.Promotions != 1 {
-		t.Fatalf("after second promote: %+v", st)
 	}
 
 	v, aux, ok := core.Probe(allow)
@@ -167,13 +161,100 @@ func TestMissPromoteHitRoundTrip(t *testing.T) {
 
 	// The deny flow promotes and hits with its cause intact.
 	processAndPromote(enf, core, deny)
-	processAndPromote(enf, core, deny)
 	v, aux, ok = core.Probe(deny)
 	if !ok || v != kernel.VerdictDrop {
 		t.Fatalf("deny hit = %v, %v", v, ok)
 	}
 	if res := aux.(*enforcer.Result); res.Cause != enforcer.DropPolicy {
 		t.Fatalf("deny cause = %v", res.Cause)
+	}
+}
+
+// TestDoorkeeperGatesOnlyEvictions: on an eight-slot table (one probe
+// window) the first eight flows land on their first miss; a ninth, which
+// would evict a live entry, is refused on its first miss and admitted on
+// its second, evicting the oldest.
+func TestDoorkeeperGatesOnlyEvictions(t *testing.T) {
+	enf, _, apk := buildEnv(t, nil, policy.VerdictAllow)
+	dp := New(Config{Cores: 1, Entries: 8}, enf)
+	core := dp.Acquire()
+	defer core.Release()
+
+	var flows []*ipv4.Packet
+	for i := 0; i < 9; i++ {
+		flows = append(flows, dataPkt(t, apk.Truncated(), []uint32{0}, 34, uint16(40001+i)))
+	}
+	for _, pkt := range flows[:8] {
+		processAndPromote(enf, core, pkt)
+	}
+	if st := dp.Stats(); st.Promotions != 8 || st.AdmissionSkips != 0 {
+		t.Fatalf("filling the window: %+v", st)
+	}
+	processAndPromote(enf, core, flows[8])
+	if st := dp.Stats(); st.Promotions != 8 || st.AdmissionSkips != 1 {
+		t.Fatalf("first miss into a full window: %+v", st)
+	}
+	for _, pkt := range flows[:8] {
+		if _, _, ok := core.Probe(pkt); !ok {
+			t.Fatal("a refused admission evicted a live entry")
+		}
+	}
+	processAndPromote(enf, core, flows[8])
+	if st := dp.Stats(); st.Promotions != 9 {
+		t.Fatalf("second miss into a full window: %+v", st)
+	}
+	if _, _, ok := core.Probe(flows[8]); !ok {
+		t.Fatal("admitted flow not answered")
+	}
+}
+
+// TestPromotionRecoversAfterGenerationBump: with far more flows per core
+// than doorkeeper slots, a generation bump tombstones every entry on
+// contact. The re-evaluated flows must land in those tombstones on their
+// first miss; were they gated by the doorkeeper, no digest would survive
+// until its next miss and the table would never refill.
+func TestPromotionRecoversAfterGenerationBump(t *testing.T) {
+	const nflows = 512
+	enf, _, apk := buildEnv(t, nil, policy.VerdictAllow)
+	dp := New(Config{Cores: 1}, enf)
+	flows := make([]*ipv4.Packet, nflows)
+	for i := range flows {
+		flows[i] = dataPkt(t, apk.Truncated(), []uint32{0}, byte(i%200), uint16(30000+i))
+	}
+	// pass drives every flow through one lease, promoting each miss the
+	// way the netfilter batch branch does, and reports the hits.
+	pass := func() int {
+		core := dp.Acquire()
+		defer core.Release()
+		hits := 0
+		for _, pkt := range flows {
+			if _, _, ok := core.Probe(pkt); ok {
+				hits++
+				continue
+			}
+			processAndPromote(enf, core, pkt)
+		}
+		return hits
+	}
+	// Warm-up promotes each flow twice in a row, so it lands whatever the
+	// admission rule.
+	core := dp.Acquire()
+	for _, pkt := range flows {
+		processAndPromote(enf, core, pkt)
+		processAndPromote(enf, core, pkt)
+	}
+	core.Release()
+	if hits := pass(); hits < nflows*9/10 {
+		t.Fatalf("warm pass hit %d of %d flows", hits, nflows)
+	}
+	if err := enf.Engine().SetRules(denyFlurry()); err != nil {
+		t.Fatal(err)
+	}
+	if hits := pass(); hits != 0 {
+		t.Fatalf("%d stale entries answered after the bump", hits)
+	}
+	if hits := pass(); hits < nflows*9/10 {
+		t.Fatalf("second pass after the bump hit %d of %d flows (stats %+v)", hits, nflows, dp.Stats())
 	}
 }
 

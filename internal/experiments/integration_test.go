@@ -311,3 +311,50 @@ func TestCaptureFullSessionRoundTrip(t *testing.T) {
 		t.Fatalf("analysis diverged after serialization: %+v vs %+v", an1, an2)
 	}
 }
+
+// TestTestbedRegistersTaggerAndSanitizer: the testbed's registry carries
+// the tagger and sanitizer families, and after real traffic each series
+// equals the component's own Stats.
+func TestTestbedRegistersTaggerAndSanitizer(t *testing.T) {
+	rules := []policy.Rule{{Action: policy.Deny, Level: policy.LevelLibrary, Target: "com/flurry"}}
+	tb, err := NewTestbed(smallCorpus(t, 8), TestbedConfig{EnforcementOn: true, Rules: rules, DefaultVerdict: policy.VerdictAllow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	for i, app := range tb.Apps {
+		for _, fn := range tb.Corpus[i].Functionalities {
+			res, err := app.Invoke(fn.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.DeliverAll(res.Packets)
+		}
+	}
+	cm, sn := tb.Manager.Stats(), tb.Network.Gateway.Sanitizer().Stats()
+	if cm.SocketsTagged == 0 || sn.Cleansed == 0 {
+		t.Fatalf("no traffic: tagger %+v, sanitizer %+v", cm, sn)
+	}
+	want := map[string]uint64{
+		"bp_tagger_sockets_tagged_total":           cm.SocketsTagged,
+		"bp_tagger_tag_failures_total":             cm.TagFailures,
+		"bp_tagger_frames_total/resolved":          cm.FramesResolved,
+		"bp_tagger_frames_total/dropped":           cm.FramesDropped,
+		"bp_tagger_stacks_truncated_total":         cm.StacksTruncated,
+		"bp_sanitizer_packets_total/cleansed":      sn.Cleansed,
+		"bp_sanitizer_packets_total/already_clean": sn.AlreadyClean,
+	}
+	got := map[string]uint64{}
+	for _, smp := range tb.Metrics.Snapshot() {
+		key := smp.Name
+		for _, l := range smp.Labels {
+			key += "/" + l.Value
+		}
+		got[key] = uint64(smp.Value)
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Errorf("%s = %d (registered %v), Stats says %d", k, g, ok, v)
+		}
+	}
+}

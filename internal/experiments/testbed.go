@@ -256,9 +256,11 @@ func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
 	}
 	// Registration before Start: no poller goroutine races the registry.
 	tb.Metrics = metrics.NewRegistry()
+	tb.Manager.RegisterMetrics(tb.Metrics)
 	if tb.Enforcer != nil {
 		tb.Enforcer.RegisterMetrics(tb.Metrics)
 	}
+	tb.Network.Gateway.Sanitizer().RegisterMetrics(tb.Metrics)
 	tb.Network.Gateway.RegisterMetrics(tb.Metrics)
 	tb.Network.RegisterMetrics(tb.Metrics)
 	tb.Audit.RegisterMetrics(tb.Metrics)

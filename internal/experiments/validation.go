@@ -45,6 +45,9 @@ type ValidationResult struct {
 	// FlowStats snapshots the enforced run's per-flow verdict cache:
 	// repeat packets of a functionality's flow skip the pipeline entirely.
 	FlowStats flowtable.Stats
+	// MemoHits counts repeats answered by the batch drain's same-flow
+	// memo before reaching the flow table.
+	MemoHits uint64
 	// AuditStats snapshots the enforced run's async audit pipeline: every
 	// enforcement decision must be recorded and none shed.
 	AuditStats audit.Stats
@@ -189,7 +192,8 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 	}
 	res.LibrariesCovered = len(covered)
 	res.EngineStats = tbOn.Engine.Stats()
-	res.FlowStats = tbOn.Enforcer.Stats().Flow
+	est := tbOn.Enforcer.Stats()
+	res.FlowStats, res.MemoHits = est.Flow, est.BatchMemoHits
 	// Flush the async audit pipeline so the snapshot covers every decision
 	// of the run (the deferred Closes release both drainers; Close is
 	// idempotent).
@@ -261,8 +265,8 @@ func (r *ValidationResult) Format() string {
 	for _, l := range libs[:max] {
 		fmt.Fprintf(&b, "  %-40s %d packets dropped\n", l, r.PerLibrary[l])
 	}
-	fmt.Fprintf(&b, "flow cache: %d hits, %d misses, %d live flows\n",
-		r.FlowStats.Hits, r.FlowStats.Misses, r.FlowStats.Live)
+	fmt.Fprintf(&b, "flow cache: %d hits (+%d memo), %d misses, %d live flows\n",
+		r.FlowStats.Hits, r.MemoHits, r.FlowStats.Misses, r.FlowStats.Live)
 	fmt.Fprintf(&b, "audit: %d decisions recorded, %d dropped, %d flush bursts\n",
 		r.AuditStats.Recorded, r.AuditStats.Dropped, r.AuditStats.Flushes)
 	return b.String()

@@ -68,31 +68,12 @@ func BenchmarkFlowDigest(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowMissFlood is the unique-flow-flood worst case WITHOUT the
-// negative cache: every insert lands on a full shard and pays the
-// eviction sample + entry allocation (the ~2.6 µs miss path flagged in
-// PERFORMANCE.md PR 2, isolated here to the table's share of it).
-func BenchmarkFlowMissFlood(b *testing.B) {
-	tb := New[uint64](Config{Capacity: 1024})
-	for i := 0; i < 1024; i++ {
-		tb.Insert(key(i), 1, uint64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := floodKey(uint64(1_000_000 + i)) // never repeats: pure flood
-		if _, ok := tb.Lookup(k, 1); ok {
-			b.Fatal("flood key hit")
-		}
-		tb.Insert(k, 1, uint64(i))
-	}
-}
-
-// BenchmarkFlowMissFloodNegCache is the same flood with the admission
-// guard on: the insert is a ring scan instead of an eviction, bounding
-// the per-packet cost of a SYN flood of unique crafted flows.
+// BenchmarkFlowMissFloodNegCache is the unique-flow-flood worst case:
+// every key is new and every shard is full, so the admission guard turns
+// each insert into a ring scan instead of an eviction, bounding the
+// per-packet cost of a SYN flood of unique crafted flows.
 func BenchmarkFlowMissFloodNegCache(b *testing.B) {
-	tb := New[uint64](Config{Capacity: 1024, MissRing: 64})
+	tb := New[uint64](Config{Capacity: 1024})
 	for i := 0; i < 1024; i++ {
 		tb.Insert(key(i), 1, uint64(i))
 	}

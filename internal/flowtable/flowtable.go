@@ -166,20 +166,21 @@ type Config struct {
 	// Clock supplies virtual time for TTL and recency; nil falls back to a
 	// monotonic tick counter (recency only, no TTL).
 	Clock Clock
-	// MissRing sizes the per-shard negative cache guarding admission under
-	// capacity pressure (0 disables it). A unique-flow flood — a SYN flood
-	// of crafted tags is the worst case — otherwise turns every insert
-	// into an eviction-sample-plus-insert on a full shard (~2.6 µs per
-	// miss measured under 100% eviction pressure) and churns established
-	// flows out of the cache. With the guard, an insert into a full shard
-	// must present a key whose digest was recently rejected once: the
-	// first attempt only notes the digest in a small ring and returns, so
-	// one-packet flood flows never allocate an entry, never evict a live
-	// flow, and pay a ring scan instead of the eviction path. Real flows
-	// pay the full pipeline for one extra packet and are admitted on
-	// their second miss. Shards below capacity admit immediately.
-	MissRing int
 }
+
+// missRingSize sizes each shard's negative cache, which guards admission
+// under capacity pressure. A unique-flow flood — a SYN flood of crafted
+// tags is the worst case — would otherwise turn every insert into an
+// eviction-sample-plus-insert on a full shard (~2.6 µs per miss measured
+// under 100% eviction pressure) and churn established flows out of the
+// cache. With the guard, an insert into a full shard must present a key
+// whose digest was recently rejected once: the first attempt only notes
+// the digest in the ring and returns, so one-packet flood flows never
+// allocate an entry, never evict a live flow, and pay a ring scan instead
+// of the eviction path. Real flows pay the full pipeline for one extra
+// packet and are admitted on their second miss. Shards below capacity
+// admit immediately.
+const missRingSize = 64
 
 // Stats snapshots the table's counters.
 type Stats struct {
@@ -323,9 +324,7 @@ func New[V any](cfg Config) *Table[V] {
 	for i := range t.shards {
 		t.shards[i].entries = make(map[uint64]*entry[V], per)
 		t.shards[i].rng = uint64(i)*0x9e3779b97f4a7c15 + 1
-		if cfg.MissRing > 0 {
-			t.shards[i].missRing = make([]uint64, cfg.MissRing)
-		}
+		t.shards[i].missRing = make([]uint64, missRingSize)
 	}
 	return t
 }
@@ -410,7 +409,7 @@ func (t *Table[V]) Insert(k Key, gen uint64, v V) {
 		// flood — cost a ring scan, not an eviction, and bail out before
 		// the entry is even allocated, so the flood path is allocation
 		// free.
-		if len(s.missRing) > 0 && !s.sawRecentMiss(h) {
+		if !s.sawRecentMiss(h) {
 			s.noteMiss(h)
 			s.mu.Unlock()
 			t.admissionDrops.Add(1)

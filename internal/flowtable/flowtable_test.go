@@ -115,6 +115,9 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 			t.Fatalf("flow %d missing", i)
 		}
 	}
+	// The shard is full: the admission guard turns the newcomer away on
+	// its first attempt and admits it on its second.
+	tb.Insert(key(99), 1, 99)
 	tb.Insert(key(99), 1, 99)
 	if tb.Len() != 4 {
 		t.Fatalf("live = %d, want 4", tb.Len())
@@ -140,6 +143,8 @@ func TestEvictionPrefersExpired(t *testing.T) {
 	for i := 1; i < 4; i++ {
 		tb.Insert(key(i), 1, i)
 	}
+	// Full shard: the second attempt passes the admission guard.
+	tb.Insert(key(5), 1, 5)
 	tb.Insert(key(5), 1, 5)
 	// key(0) expired and must be the one reclaimed; the fresh flows stay.
 	for i := 1; i < 4; i++ {

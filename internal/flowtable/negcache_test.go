@@ -23,7 +23,7 @@ func floodKey(i uint64) Key {
 // of never-repeated keys (the SYN-flood shape) must be turned away at the
 // ring instead of evicting live flows.
 func TestAdmissionGuardBlocksUniqueFlowFlood(t *testing.T) {
-	tab := New[int](Config{Capacity: 64, Shards: 1, MissRing: 128})
+	tab := New[int](Config{Capacity: 64, Shards: 1})
 	for i := uint64(0); i < 64; i++ {
 		tab.Insert(floodKey(i), 1, int(i))
 	}
@@ -55,7 +55,7 @@ func TestAdmissionGuardBlocksUniqueFlowFlood(t *testing.T) {
 // admitted on its second insert attempt (doorkeeper semantics), paying
 // one extra full-pipeline packet, never more.
 func TestAdmissionGuardAdmitsSecondMiss(t *testing.T) {
-	tab := New[int](Config{Capacity: 8, Shards: 1, MissRing: 32})
+	tab := New[int](Config{Capacity: 8, Shards: 1})
 	for i := uint64(0); i < 8; i++ {
 		tab.Insert(floodKey(i), 1, int(i))
 	}
@@ -77,7 +77,7 @@ func TestAdmissionGuardAdmitsSecondMiss(t *testing.T) {
 // TestAdmissionGuardIdleBelowCapacity: shards under capacity admit
 // immediately — the guard only engages under pressure.
 func TestAdmissionGuardIdleBelowCapacity(t *testing.T) {
-	tab := New[int](Config{Capacity: 64, Shards: 1, MissRing: 32})
+	tab := New[int](Config{Capacity: 64, Shards: 1})
 	for i := uint64(0); i < 32; i++ {
 		tab.Insert(floodKey(i), 1, int(i))
 		if _, ok := tab.Lookup(floodKey(i), 1); !ok {
@@ -89,27 +89,11 @@ func TestAdmissionGuardIdleBelowCapacity(t *testing.T) {
 	}
 }
 
-// TestAdmissionGuardDisabledByDefault: MissRing 0 keeps the PR 2 eviction
-// behaviour byte for byte.
-func TestAdmissionGuardDisabledByDefault(t *testing.T) {
-	tab := New[int](Config{Capacity: 8, Shards: 1})
-	for i := uint64(0); i < 16; i++ {
-		tab.Insert(floodKey(i), 1, int(i))
-	}
-	st := tab.Stats()
-	if st.AdmissionDrops != 0 {
-		t.Fatalf("guard engaged while disabled: %+v", st)
-	}
-	if st.Evictions != 8 {
-		t.Fatalf("evictions = %d, want 8", st.Evictions)
-	}
-}
-
 // TestAdmissionGuardReinsertAfterInvalidation: a generation bump must not
 // lock live flows out. Lookup deletes the stale entry (shard drops below
 // capacity), so the re-insert is admitted immediately.
 func TestAdmissionGuardReinsertAfterInvalidation(t *testing.T) {
-	tab := New[int](Config{Capacity: 8, Shards: 1, MissRing: 32})
+	tab := New[int](Config{Capacity: 8, Shards: 1})
 	for i := uint64(0); i < 8; i++ {
 		tab.Insert(floodKey(i), 1, int(i))
 	}

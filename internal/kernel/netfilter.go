@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -417,12 +418,12 @@ func (nf *Netfilter) traverseBatch(chain Chain, items []batchItem) error {
 	return firstErr
 }
 
-// DrainBatch is the per-core queue drain: it splits the batch into
-// contiguous chunks and runs OutputBatch on each from its own goroutine
+// DrainBatch is the per-core queue drain: it partitions the batch by flow
+// and runs OutputBatch on each worker's share from its own goroutine
 // (workers ≤ 0 selects GOMAXPROCS). Queue handlers must be safe for
 // concurrent use — the Policy Enforcer's Process/ProcessBatch are
-// lock-free precisely so this scales with cores. Packet order within each
-// chunk is preserved; results align with pkts.
+// lock-free precisely so this scales with cores. Packets of one flow keep
+// their order on one worker; results align with pkts.
 func (nf *Netfilter) DrainBatch(pkts []*ipv4.Packet, workers int) ([]BatchResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -436,26 +437,37 @@ func (nf *Netfilter) DrainBatch(pkts []*ipv4.Packet, workers int) ([]BatchResult
 		return nf.OutputBatch(pkts)
 	}
 
+	// Receive-side scaling: a connection's SYN, data and FIN must not be
+	// enforced concurrently or out of order (a FIN overtaking its SYN
+	// would miss the verdict the SYN is about to cache, and conntrack
+	// would see the close first), so each packet goes to the worker its
+	// host pair and protocol hash to. Fragments carry no ports, hence no
+	// ports in the hash.
+	shares := make([][]int, workers)
+	for i, pkt := range pkts {
+		w := flowWorker(pkt, workers)
+		shares[w] = append(shares[w], i)
+	}
 	out := make([]BatchResult, len(pkts))
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	chunk := (len(pkts) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(pkts) {
-			hi = len(pkts)
-		}
-		if lo >= hi {
-			break
+	for w, idx := range shares {
+		if len(idx) == 0 {
+			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int, idx []int) {
 			defer wg.Done()
-			res, err := nf.OutputBatch(pkts[lo:hi])
-			copy(out[lo:hi], res)
+			share := make([]*ipv4.Packet, len(idx))
+			for j, i := range idx {
+				share[j] = pkts[i]
+			}
+			res, err := nf.OutputBatch(share)
+			for j := range res {
+				out[idx[j]] = res[j]
+			}
 			errs[w] = err
-		}(w, lo, hi)
+		}(w, idx)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -464,6 +476,14 @@ func (nf *Netfilter) DrainBatch(pkts []*ipv4.Packet, workers int) ([]BatchResult
 		}
 	}
 	return out, nil
+}
+
+// flowWorker maps a packet's host pair and protocol onto one of workers.
+func flowWorker(pkt *ipv4.Packet, workers int) int {
+	src, dst := pkt.Header.Src.As16(), pkt.Header.Dst.As16()
+	h := binary.BigEndian.Uint64(src[8:])*31 + binary.BigEndian.Uint64(dst[8:])
+	h = (h ^ uint64(pkt.Header.Protocol)) * 0x9e3779b97f4a7c15
+	return int((h >> 32) % uint64(workers))
 }
 
 // FilterStats reports packet-verdict counters.

@@ -259,3 +259,60 @@ func TestOutputEmptyChainAllocs(t *testing.T) {
 		t.Fatalf("Output over empty chains: %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestDrainBatchKeepsFlowsTogether: with several workers, every packet of
+// one flow reaches the queue handler in the same call and in burst order,
+// so a connection's SYN, data and FIN are never enforced concurrently.
+func TestDrainBatchKeepsFlowsTogether(t *testing.T) {
+	nf := NewNetfilter()
+	nf.Append(ChainOutput, Rule{Target: TargetQueue, QueueNum: 1})
+	var mu sync.Mutex
+	calls := 0
+	seen := map[string][][2]int{} // flow -> (handler call, position in burst)
+	nf.RegisterBatchQueue(1, func(pkts []*ipv4.Packet) []BatchVerdict {
+		mu.Lock()
+		calls++
+		call := calls
+		for _, pkt := range pkts {
+			var pos int
+			fmt.Sscanf(string(pkt.Payload), "pkt-%d", &pos)
+			flow := pkt.Header.Dst.String()
+			seen[flow] = append(seen[flow], [2]int{call, pos})
+		}
+		mu.Unlock()
+		out := make([]BatchVerdict, len(pkts))
+		for i := range out {
+			out[i] = BatchVerdict{Verdict: VerdictAccept}
+		}
+		return out
+	})
+
+	// 16 flows, 8 packets each, interleaved the way a burst of concurrent
+	// connections arrives.
+	const flows, perFlow = 16, 8
+	var pkts []*ipv4.Packet
+	for j := 0; j < perFlow; j++ {
+		for f := 0; f < flows; f++ {
+			pkts = append(pkts, batchPkt(f, fmt.Sprintf("pkt-%d", len(pkts))))
+		}
+	}
+	if _, err := nf.DrainBatch(pkts, 4); err != nil {
+		t.Fatal(err)
+	}
+	if calls < 2 {
+		t.Fatalf("%d handler calls: the burst was not spread over workers", calls)
+	}
+	for flow, got := range seen {
+		if len(got) != perFlow {
+			t.Fatalf("flow %s: %d packets handled, want %d", flow, len(got), perFlow)
+		}
+		for k := 1; k < len(got); k++ {
+			if got[k][0] != got[0][0] {
+				t.Fatalf("flow %s split across handler calls: %v", flow, got)
+			}
+			if got[k][1] <= got[k-1][1] {
+				t.Fatalf("flow %s reordered: %v", flow, got)
+			}
+		}
+	}
+}

@@ -22,8 +22,8 @@ import (
 // one-packet-at-a-time netfilterqueue consumer is the burst of one the
 // network hands it for a single delivery. The enforcer's ProcessBatch
 // amortizes resolve+decode across packets of the same flow, and the
-// lock-free enforcement path lets chunks proceed on every core in
-// parallel.
+// lock-free enforcement path lets each worker's share of the flows
+// proceed on its own core in parallel.
 type Gateway struct {
 	nf        *kernel.Netfilter
 	enforcer  *enforcer.Enforcer

@@ -130,9 +130,17 @@ func bumpMtime(t *testing.T, path string) {
 	_ = path
 }
 
+// writeFile replaces the watched file atomically (write a temporary file,
+// then rename): a poll landing between the truncate and the write of an
+// in-place os.WriteFile would read an empty document and apply an empty
+// rule set.
 func writeFile(t *testing.T, path, doc string) {
 	t.Helper()
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 )
 
 // Config selects sanitizer behaviour.
@@ -71,4 +72,15 @@ func (s *Sanitizer) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
+}
+
+// RegisterMetrics attaches the sanitizer's counters to a registry as the
+// bp_sanitizer_packets_total family: cleansed packets had options removed,
+// already_clean ones needed no work. Scrape-time closures over Stats.
+func (s *Sanitizer) RegisterMetrics(r *metrics.Registry) {
+	const help = "Packets the sanitizer saw by outcome."
+	r.CounterFunc("bp_sanitizer_packets_total", help,
+		func() uint64 { return s.Stats().Cleansed }, metrics.L("outcome", "cleansed"))
+	r.CounterFunc("bp_sanitizer_packets_total", help,
+		func() uint64 { return s.Stats().AlreadyClean }, metrics.L("outcome", "already_clean"))
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"borderpatrol/internal/ipv4"
+	"borderpatrol/internal/metrics"
 )
 
 func taggedPacket() *ipv4.Packet {
@@ -109,6 +110,35 @@ func TestIdempotent(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.Cleansed != 1 || st.AlreadyClean != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestRegisterMetricsMatchesStats: the bp_sanitizer_packets_total series
+// read the same counters Stats reports.
+func TestRegisterMetricsMatchesStats(t *testing.T) {
+	s := New(Config{})
+	reg := metrics.NewRegistry()
+	s.RegisterMetrics(reg)
+	for i := 0; i < 3; i++ {
+		s.Process(taggedPacket())
+	}
+	clean := taggedPacket()
+	clean.Header.Options = nil
+	s.Process(clean)
+
+	st := s.Stats()
+	want := map[string]uint64{"cleansed": st.Cleansed, "already_clean": st.AlreadyClean}
+	got := map[string]uint64{}
+	for _, smp := range reg.Snapshot() {
+		if smp.Name == "bp_sanitizer_packets_total" {
+			got[smp.Labels[0].Value] = uint64(smp.Value)
+		}
+	}
+	if len(got) != 2 || got["cleansed"] != want["cleansed"] || got["already_clean"] != want["already_clean"] {
+		t.Fatalf("series = %v, Stats = %v", got, want)
+	}
+	if st.Cleansed != 3 || st.AlreadyClean != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
