@@ -34,30 +34,21 @@ package borderpatrol
 import (
 	"errors"
 	"fmt"
-	"net/netip"
-	"runtime"
 	"strings"
 	"time"
 
-	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/android"
 	"borderpatrol/internal/apkgen"
 	"borderpatrol/internal/audit"
-	"borderpatrol/internal/contextmgr"
-	"borderpatrol/internal/dataplane"
+	"borderpatrol/internal/deploy"
 	"borderpatrol/internal/devctx"
 	"borderpatrol/internal/dex"
-	"borderpatrol/internal/enforcer"
 	"borderpatrol/internal/experiments"
-	"borderpatrol/internal/flowtable"
-	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
-	"borderpatrol/internal/kernel"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
-	"borderpatrol/internal/sanitizer"
 )
 
 // Re-exported core types. The aliases give external importers access to
@@ -213,15 +204,8 @@ func DefaultCorpusConfig() CorpusConfig {
 // owns just its gateway; stand-alone, the deployment owns both.
 type Deployment struct {
 	name    string
-	device  *android.Device
-	db      *analyzer.Database
-	engine  *policy.Engine
 	network *netsim.Network
-	gateway *netsim.Gateway
-	audit   *audit.Log
-	policy  *policystore.Store
-	context *devctx.Source
-	metrics *metrics.Registry
+	pipe    *deploy.Pipeline
 }
 
 // MetricsRegistry holds every component's registered instruments and
@@ -262,205 +246,73 @@ func New(cfg Config) (*Deployment, error) {
 	// N=1: the gateway fronts every source (the zero-route special case of
 	// the fleet's subnet routing), and the deployment's registry carries
 	// the network-wide fault counters too.
-	network.Gateway = d.gateway
-	network.RegisterMetrics(d.metrics)
-	if d.policy != nil {
-		d.policy.Start()
-	}
+	network.Gateway = d.pipe.Gateway
+	network.RegisterMetrics(d.pipe.Metrics)
+	d.pipe.Policy.Start()
 	return d, nil
 }
 
-// build assembles one deployment on the given (possibly shared) network:
-// engine, policy store (loaded but not yet started), device, audit,
-// enforcer, sanitizer, gateway, and a per-deployment metrics registry.
-// The caller wires the gateway into the network (Gateway field or subnet
-// route), registers network-wide metrics wherever they belong, and starts
-// the store once construction can no longer fail.
+// build translates cfg into a pipeline on the given (possibly shared)
+// network. The caller attaches the gateway, registers network-wide metrics
+// and starts the policy store once construction can no longer fail.
 func build(cfg Config, network *netsim.Network, name string) (*Deployment, error) {
 	if cfg.Policy.Source != nil && strings.TrimSpace(cfg.Policy.Doc) != "" {
 		return nil, errors.New("borderpatrol: PolicyConfig.Doc and PolicyConfig.Source are mutually exclusive")
 	}
-	var rules []Rule
-	if strings.TrimSpace(cfg.Policy.Doc) != "" {
-		var err error
-		rules, err = policy.ParsePolicyString(cfg.Policy.Doc)
-		if err != nil {
-			return nil, fmt.Errorf("borderpatrol: %w", err)
-		}
-	}
-	def := cfg.Policy.DefaultVerdict
-	if def == 0 {
-		def = policy.VerdictAllow
-	}
-	engine, err := policy.NewEngine(rules, def)
+	rules, err := policy.ParsePolicyString(cfg.Policy.Doc)
 	if err != nil {
 		return nil, fmt.Errorf("borderpatrol: %w", err)
 	}
-
-	var store *policystore.Store
-	if cfg.Policy.Source != nil {
-		storeCfg := policystore.Config{
-			Source:       cfg.Policy.Source,
-			Engine:       engine,
-			Poll:         cfg.Policy.Poll,
-			WatchTimeout: cfg.Policy.WatchTimeout,
-			MaxStale:     cfg.Policy.MaxStale,
-			FailMode:     cfg.Policy.FailMode,
-		}
-		if cfg.Policy.MaxStale > 0 {
-			storeCfg.Now = network.Clock.Now
-		}
-		store, err = policystore.New(storeCfg)
-		if err != nil {
-			return nil, fmt.Errorf("borderpatrol: %w", err)
-		}
-		// The initial load is synchronous and fatal: there is no last-good
-		// rule set to fall back to yet, and silently enforcing an empty
-		// policy would fail open. The background poller starts only once
-		// construction can no longer fail, so error returns leak nothing.
-		if err := store.Load(); err != nil {
-			return nil, fmt.Errorf("borderpatrol: initial policy: %w", err)
-		}
+	store := policystore.Config{
+		Source:       cfg.Policy.Source,
+		Poll:         cfg.Policy.Poll,
+		WatchTimeout: cfg.Policy.WatchTimeout,
+		MaxStale:     cfg.Policy.MaxStale,
+		FailMode:     cfg.Policy.FailMode,
 	}
-
-	hardened := true
-	if cfg.Net.HardenedKernel != nil {
-		hardened = *cfg.Net.HardenedKernel
+	if cfg.Policy.MaxStale > 0 {
+		store.Now = network.Clock.Now
 	}
-	addr := cfg.Net.DeviceAddr
-	if !addr.IsValid() {
-		addr = netip.MustParseAddr("10.66.0.2")
-	}
-	device := android.NewDevice(android.Config{
-		Addr: addr,
-		Kernel: kernel.Config{
-			AllowUnprivilegedIPOptions: true,
-			SetOptionsOncePerSocket:    hardened,
-		},
-		XposedInstalled: true,
+	pipe, err := deploy.New(network, deploy.Config{
+		DeviceAddr:       cfg.Net.DeviceAddr,
+		Unhardened:       cfg.Net.HardenedKernel != nil && !*cfg.Net.HardenedKernel,
+		Rules:            rules,
+		DefaultVerdict:   cfg.Policy.DefaultVerdict,
+		Store:            store,
+		InitialContext:   cfg.Policy.InitialContext,
+		AllowUntagged:    cfg.Policy.AllowUntagged,
+		NoFlowCache:      cfg.Flow.CacheSize < 0,
+		FlowCapacity:     cfg.Flow.CacheSize,
+		FlowTTL:          cfg.Flow.TTL,
+		Dataplane:        cfg.Flow.Dataplane,
+		DataplaneEntries: cfg.Flow.DataplaneEntries,
+		Workers:          cfg.Flow.Workers,
+		AuditWriter:      cfg.Audit.Writer,
+		AuditQueueCap:    cfg.Audit.QueueCap,
 	})
-	manager := contextmgr.New(device)
-	if err := device.LoadModule(manager); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("borderpatrol: %w", err)
 	}
-
-	db := analyzer.NewDatabase()
-	auditLog := audit.NewWithConfig(audit.Config{
-		Writer:   cfg.Audit.Writer,
-		TailCap:  256,
-		QueueCap: cfg.Audit.QueueCap,
-	})
-	// Every deployment carries a device-context source: risk rules read it
-	// on the SYN/cache-miss path, and its generation counter keys cached
-	// verdicts so context changes invalidate them. Without risk rules it is
-	// inert (ContextActive gates all lookups).
-	ctxSrc := devctx.NewSource(network.Clock)
-	device.BindContext(ctxSrc)
-	if cfg.Policy.InitialContext != nil {
-		ctxSrc.Provision(addr, *cfg.Policy.InitialContext)
-	}
-
-	enfCfg := enforcer.Config{
-		AllowUntagged: cfg.Policy.AllowUntagged,
-		Audit:         auditLog,
-		Context:       ctxSrc,
-		Clock:         network.Clock,
-	}
-	if cfg.Flow.CacheSize >= 0 {
-		ttl := cfg.Flow.TTL
-		if ttl == 0 {
-			ttl = time.Minute // virtual time; keep-alive flows stay warm
-		}
-		enfCfg.Flows = enforcer.NewFlowCache(flowtable.Config{
-			Capacity: cfg.Flow.CacheSize, // 0 = flowtable default
-			TTL:      ttl,
-			Clock:    network.Clock,
-		})
-	}
-	enf := enforcer.New(enfCfg, db, engine)
-	san := sanitizer.New(sanitizer.Config{})
-	var dp *dataplane.Dataplane
-	if cfg.Flow.Dataplane && enfCfg.Flows != nil {
-		cores := cfg.Flow.Workers
-		if cores <= 0 {
-			cores = runtime.GOMAXPROCS(0)
-		}
-		dp = dataplane.New(dataplane.Config{
-			Cores:   cores,
-			Entries: cfg.Flow.DataplaneEntries,
-			TTL:     cfg.Flow.TTL,
-			Clock:   network.Clock,
-		}, enf)
-	}
-	gw := netsim.NewGateway(netsim.GatewayConfig{
-		Enforcer:  enf,
-		Sanitizer: san,
-		Workers:   cfg.Flow.Workers,
-		Clock:     network.Clock,
-		Dataplane: dp,
-	})
-
-	reg := metrics.NewRegistry()
-	manager.RegisterMetrics(reg)
-	enf.RegisterMetrics(reg)
-	san.RegisterMetrics(reg)
-	gw.RegisterMetrics(reg)
-	auditLog.RegisterMetrics(reg)
-	if store != nil {
-		store.RegisterMetrics(reg)
-	}
-
-	return &Deployment{
-		name:    name,
-		device:  device,
-		db:      db,
-		engine:  engine,
-		network: network,
-		gateway: gw,
-		audit:   auditLog,
-		policy:  store,
-		context: ctxSrc,
-		metrics: reg,
-	}, nil
+	return &Deployment{name: name, network: network, pipe: pipe}, nil
 }
 
 // Metrics exposes the deployment's metrics registry: every component's
 // counters, gauges and latency histograms, renderable with
 // WritePrometheus or servable with metrics-package Handler.
-func (d *Deployment) Metrics() *MetricsRegistry { return d.metrics }
+func (d *Deployment) Metrics() *MetricsRegistry { return d.pipe.Metrics }
 
 // Close stops the policy store's hot-reload poller (when a PolicySource is
 // configured), then flushes and stops the asynchronous audit pipeline
 // (flush-on-close) and reports its sticky write error, if any.
-func (d *Deployment) Close() error {
-	if d.policy != nil {
-		d.policy.Close()
-	}
-	return d.audit.Close()
-}
+func (d *Deployment) Close() error { return d.pipe.Close() }
 
 // InstallApp analyzes the apk into the signature database (the Offline
 // Analyzer step) and installs it in the device's work profile. Servers for
 // every functionality endpoint are registered automatically.
 func (d *Deployment) InstallApp(apk *APK, funcs []Functionality) (*App, error) {
-	if err := d.db.Add(apk); err != nil {
-		if !errors.Is(err, analyzer.ErrDuplicateEntry) {
-			return nil, fmt.Errorf("borderpatrol: analyze: %w", err)
-		}
-	}
-	app, err := d.device.InstallApp(apk, funcs, android.ProfileWork)
+	app, err := d.pipe.Install(d.network, apk, funcs)
 	if err != nil {
 		return nil, fmt.Errorf("borderpatrol: %w", err)
-	}
-	for _, f := range funcs {
-		addr := f.Op.Endpoint.Addr()
-		if _, ok := d.network.ServerAt(addr); !ok {
-			d.network.AddServer(&netsim.Server{
-				Addr:    addr,
-				Name:    f.Op.Host,
-				Handler: httpsim.StaticHandler(httpsim.StaticPage()),
-			})
-		}
 	}
 	return app, nil
 }
@@ -478,7 +330,7 @@ func (d *Deployment) SetPolicy(doc string) error {
 	if err != nil {
 		return fmt.Errorf("borderpatrol: %w", err)
 	}
-	return d.engine.SetRules(rules)
+	return d.pipe.Engine.SetRules(rules)
 }
 
 // ReloadPolicy runs one synchronous policy-store reload cycle: fetch the
@@ -488,16 +340,16 @@ func (d *Deployment) SetPolicy(doc string) error {
 // and the bp_policy_reloads_total{outcome="failed"} series). Returns
 // an error when no PolicySource is configured.
 func (d *Deployment) ReloadPolicy() (applied bool, err error) {
-	if d.policy == nil {
+	if d.pipe.Policy == nil {
 		return false, errors.New("borderpatrol: no PolicySource configured")
 	}
-	return d.policy.Reload()
+	return d.pipe.Policy.Reload()
 }
 
 // PolicyStoreStats snapshots the hot-reload policy store (zero value when
 // no PolicySource is configured).
 func (d *Deployment) PolicyStoreStats() PolicyStoreStats {
-	return d.policy.Stats()
+	return d.pipe.Policy.Stats()
 }
 
 // SetFaults installs (or replaces) a deterministic wire-fault plan on the
@@ -523,7 +375,7 @@ func (d *Deployment) FaultStats() FaultStats {
 // next packet of every live flow re-resolves through the full pipeline.
 // Control-plane state (policy engine, signature database) survives.
 func (d *Deployment) RestartGateway() {
-	d.gateway.Restart()
+	d.pipe.Gateway.Restart()
 }
 
 // SweepIdle runs one garbage-collection sweep over the gateway's dataplane
@@ -531,7 +383,7 @@ func (d *Deployment) RestartGateway() {
 // was lost), and TTL-expired flow-cache entries are reclaimed. Returns
 // what each sweep freed.
 func (d *Deployment) SweepIdle(idle time.Duration) (conns, flows int) {
-	return d.gateway.GC(idle)
+	return d.pipe.Gateway.GC(idle)
 }
 
 // Outcome reports what happened to one packet an app functionality sent.
@@ -597,17 +449,17 @@ func (d *Deployment) ExerciseVia(app *App, functionality string, route Route) ([
 // AuditTail returns the most recent enforcement audit entries (flushing
 // the asynchronous pipeline first, so everything recorded is visible).
 func (d *Deployment) AuditTail() []AuditEntry {
-	return d.audit.Tail()
+	return d.pipe.Audit.Tail()
 }
 
 // Device exposes the provisioned device (advanced scenarios and tests).
-func (d *Deployment) Device() *android.Device { return d.device }
+func (d *Deployment) Device() *android.Device { return d.pipe.Device }
 
 // Context exposes the deployment's device-context source. Update it (or
 // let the device's Report* methods update it) to change what contextual
 // risk rules see; every effective change bumps the context generation and
 // invalidates the cached verdicts of affected flows on their next packet.
-func (d *Deployment) Context() *ContextSource { return d.context }
+func (d *Deployment) Context() *ContextSource { return d.pipe.Context }
 
 // Experiment entry points (one per paper table/figure). See EXPERIMENTS.md
 // for the recorded paper-vs-measured comparison.

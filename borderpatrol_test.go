@@ -160,7 +160,7 @@ func TestTaggerAndSanitizerMetrics(t *testing.T) {
 	if cleansed != 3 || clean != 0 {
 		t.Fatalf("sanitizer = cleansed %v already clean %v, want 3/0", cleansed, clean)
 	}
-	if st := dep.gateway.Sanitizer().Stats(); float64(st.Cleansed) != cleansed || float64(st.AlreadyClean) != clean {
+	if st := dep.pipe.Gateway.Sanitizer().Stats(); float64(st.Cleansed) != cleansed || float64(st.AlreadyClean) != clean {
 		t.Fatalf("sanitizer Stats = %+v, metrics = %v/%v", st, cleansed, clean)
 	}
 }

@@ -62,8 +62,8 @@ type FlowConfig struct {
 	// the default (65,536 flows), a negative value disables caching so
 	// every packet pays the full decode+evaluate pipeline.
 	CacheSize int
-	// TTL expires cached flow verdicts after this much virtual time
-	// (0 selects the default of one minute).
+	// TTL expires cached flow verdicts after this much virtual time, in
+	// the verdict cache and the dataplane alike (0: one minute).
 	TTL time.Duration
 	// Workers sizes the gateway's per-core batch drain (0 selects
 	// GOMAXPROCS).

@@ -1,8 +1,12 @@
 package borderpatrol
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"borderpatrol/internal/enforcer"
 )
 
 // TestDeploymentContextualPolicy drives the contextual dimension through
@@ -107,5 +111,55 @@ func TestDeploymentContextRoundTripsThroughParsePolicy(t *testing.T) {
 	}
 	if got := FormatPolicy(rules); got != doc {
 		t.Fatalf("round trip:\n%s\nwant:\n%s", got, doc)
+	}
+}
+
+// TestCachedVerdictAgeBoundedByFlowTTL: a keep-alive flow admitted inside
+// an allowed time window is re-scored once the window closes, whether its
+// verdict is cached in the flow table alone or in the dataplane too. Both
+// caches expire entries at the flow TTL (default one minute).
+func TestCachedVerdictAgeBoundedByFlowTTL(t *testing.T) {
+	for _, dataplane := range []bool{false, true} {
+		t.Run(fmt.Sprintf("dataplane=%v", dataplane), func(t *testing.T) {
+			dep, err := New(Config{
+				Policy: PolicyConfig{Doc: `
+{[risk][time]["22:00-06:00"][100]}
+{[threshold][block][100]}
+`},
+				Flow: FlowConfig{Dataplane: dataplane, Workers: 1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dep.Close()
+			funcs := demoFuncs()
+			funcs[0].Op.Requests = 4
+			app, err := dep.InstallApp(demoAPK(), funcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Monday 14:00: the SYN and first requests are admitted, and the
+			// second burst is served from the caches.
+			dep.network.Clock.Advance(14 * time.Hour)
+			inv, err := app.Invoke("download")
+			if err != nil {
+				t.Fatal(err)
+			}
+			syn, reqs := inv.Packets[0], inv.Packets[1:5]
+			for _, burst := range [][]*Packet{{syn, reqs[0]}, {reqs[1]}} {
+				for i, d := range dep.network.DeliverBatch(burst) {
+					if !d.Delivered {
+						t.Fatalf("afternoon packet %d dropped: %+v", i, d.Enforcement)
+					}
+				}
+			}
+			// 23:00 the same day: the next request on the same connection
+			// falls inside the risky window.
+			dep.network.Clock.Advance(9 * time.Hour)
+			d := dep.network.DeliverBatch([]*Packet{reqs[2]})[0]
+			if d.Delivered || d.Enforcement == nil || d.Enforcement.Cause != enforcer.DropRisk {
+				t.Fatalf("night request on an afternoon flow: delivered=%v enforcement=%+v", d.Delivered, d.Enforcement)
+			}
+		})
 	}
 }

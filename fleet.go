@@ -157,11 +157,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			closeBuilt()
 			return nil, fmt.Errorf("borderpatrol: gateway %q: %w", name, err)
 		}
-		network.AddGatewayRoute(spec.Subnet, d.gateway)
+		network.AddGatewayRoute(spec.Subnet, d.pipe.Gateway)
 		f.deployments = append(f.deployments, d)
 		f.groups = append(f.groups, spec.Groups)
 		f.byName[name] = d
-		f.agg.Attach(name, d.metrics)
+		f.agg.Attach(name, d.pipe.Metrics)
 	}
 	// Network-wide series (wire faults) belong to the fleet, not to any
 	// one gateway; they join the aggregate under their own label value.
@@ -171,7 +171,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 
 	// Stores start only once the whole fleet can no longer fail to build.
 	for _, d := range f.deployments {
-		d.policy.Start()
+		d.pipe.Policy.Start()
 	}
 	return f, nil
 }
@@ -228,7 +228,7 @@ func (f *Fleet) PushPolicy(doc string) error {
 	applies, rounds := make([]uint64, len(f.deployments)), make([]uint64, len(f.deployments))
 	for i, d := range f.deployments {
 		changed[i] = oldGS.DocFor(f.groups[i]...) != newGS.DocFor(f.groups[i]...)
-		s := d.policy.Stats()
+		s := d.pipe.Policy.Stats()
 		applies[i], rounds[i] = s.Applied, s.WatchRounds
 	}
 	rev := f.hub.Rev()
@@ -239,7 +239,7 @@ func (f *Fleet) PushPolicy(doc string) error {
 	deadline := time.Now().Add(pushTimeout)
 	for i, d := range f.deployments {
 		done := func() bool {
-			s := d.policy.Stats()
+			s := d.pipe.Policy.Stats()
 			if changed[i] {
 				return s.Applied > applies[i]
 			}

@@ -8,7 +8,6 @@ import (
 	"borderpatrol/internal/ioi"
 	"borderpatrol/internal/ipv4"
 	"borderpatrol/internal/monkey"
-	"borderpatrol/internal/netsim"
 )
 
 // Fig3Result reproduces Figure 3 and the §VI-B prevalence statistics: the
@@ -64,7 +63,7 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 			return nil, err
 		}
 	}
-	tb, err := NewTestbed(corpus, TestbedConfig{EnforcementOn: false, NIC: netsim.ModeTAP})
+	tb, err := NewTestbed(corpus, TestbedConfig{EnforcementOn: false})
 	if err != nil {
 		return nil, err
 	}

@@ -7,23 +7,17 @@ import (
 	"net/netip"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
-	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/android"
-	"borderpatrol/internal/audit"
-	"borderpatrol/internal/contextmgr"
+	"borderpatrol/internal/deploy"
 	"borderpatrol/internal/dns"
-	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
 	"borderpatrol/internal/httpsim"
 	"borderpatrol/internal/ipv4"
-	"borderpatrol/internal/kernel"
 	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
-	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
-	"borderpatrol/internal/sanitizer"
 )
 
 // This file implements the fleet-scale experiment: N gateways on one
@@ -49,8 +43,8 @@ type FleetRunConfig struct {
 	// scrape the fleet live (bp-experiments -run fleet -metrics-addr).
 	Metrics *metrics.Aggregate
 	// AuditWriter receives the fleet-wide enforcement audit as JSON
-	// lines through one shared bounded-async pipeline (nil disables
-	// auditing).
+	// lines: every gateway's bounded-async pipeline writes to it (nil
+	// disables auditing).
 	AuditWriter io.Writer
 }
 
@@ -156,13 +150,13 @@ func (r *FleetBenchResult) WriteJSON(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// fleetMember is one assembled gateway: engine, sharded store, enforcer,
-// template device, device pool, and the invocation template bursts.
+// fleetMember is one assembled gateway: the pipeline with its sharded
+// store and template device, the device pool, and the invocation template
+// bursts.
 type fleetMember struct {
 	name   string
 	prefix netip.Prefix
-	engine *policy.Engine
-	store  *policystore.Store
+	pipe   *deploy.Pipeline
 	pool   *netsim.DevicePool
 	// bursts maps workload kind to the template device's packet burst,
 	// cloned and source-rewritten per virtual device.
@@ -196,61 +190,38 @@ func fleetPolicyDoc(gateways int, quarantine bool) string {
 	return b.String()
 }
 
-// buildFleetMember assembles gateway i on the shared network. auditLog
-// may be nil (auditing off); the fleet shares one pipeline.
-func buildFleetMember(i, gateways, devices int, network *netsim.Network, db *analyzer.Database, hub *policystore.Hub, agg *metrics.Aggregate, auditLog *audit.Log) (*fleetMember, error) {
+// buildFleetMember assembles gateway i on the shared network; the caller
+// closes its pipeline.
+func buildFleetMember(i, gateways, devices int, network *netsim.Network, hub *policystore.Hub, agg *metrics.Aggregate, auditW io.Writer) (m *fleetMember, err error) {
 	name := fmt.Sprintf("gw%d", i)
 	if gateways > 200 {
 		return nil, fmt.Errorf("fleet sized for at most 200 gateways, got %d", gateways)
 	}
-	// One /16 per gateway: room for 65k pooled devices each.
+	// One /16 per gateway: room for 65k pooled devices each. The template
+	// device takes the subnet's first host address; the pool numbers
+	// virtual devices from the second onward.
 	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(1 + i), 0, 0}), 16).Masked()
-
-	engine, err := policy.NewEngine(nil, policy.VerdictAllow)
-	if err != nil {
-		return nil, err
-	}
-	store, err := policystore.New(policystore.Config{
-		Source:       policystore.NewGroupScopedSource(hub.Source(), fmt.Sprintf("g%d", i)),
-		Engine:       engine,
-		Poll:         time.Hour, // propagation must come from the watch
-		WatchTimeout: time.Hour,
+	pipe, err := deploy.New(network, deploy.Config{
+		DeviceAddr: prefix.Addr().Next(),
+		Store: policystore.Config{
+			Source:       policystore.NewGroupScopedSource(hub.Source(), fmt.Sprintf("g%d", i)),
+			Poll:         time.Hour, // propagation must come from the watch
+			WatchTimeout: time.Hour,
+		},
+		AuditWriter: auditW,
+		NoAudit:     auditW == nil,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := store.Load(); err != nil {
-		return nil, err
-	}
-
-	enf := enforcer.New(enforcer.Config{
-		Flows: enforcer.NewFlowCache(flowtable.Config{Clock: network.Clock}),
-		Audit: auditLog,
-	}, db, engine)
-	gw := netsim.NewGateway(netsim.GatewayConfig{
-		Enforcer:  enf,
-		Sanitizer: sanitizer.New(sanitizer.Config{}),
-		Clock:     network.Clock,
-	})
-	network.AddGatewayRoute(prefix, gw)
-
-	reg := metrics.NewRegistry()
-	enf.RegisterMetrics(reg)
-	gw.RegisterMetrics(reg)
-	store.RegisterMetrics(reg)
-	agg.Attach(name, reg)
-
-	// The template device takes the subnet's first host address; the pool
-	// numbers virtual devices from the second onward.
-	device := android.NewDevice(android.Config{
-		Addr:            prefix.Addr().Next(),
-		Kernel:          kernel.Config{AllowUnprivilegedIPOptions: true, SetOptionsOncePerSocket: true},
-		XposedInstalled: true,
-	})
-	manager := contextmgr.New(device)
-	if err := device.LoadModule(manager); err != nil {
-		return nil, err
-	}
+	defer func() {
+		if err != nil {
+			pipe.Close()
+		}
+	}()
+	m = &fleetMember{name: name, prefix: prefix, pipe: pipe, bursts: make(map[string][]*ipv4.Packet, 5)}
+	network.AddGatewayRoute(prefix, pipe.Gateway)
+	agg.Attach(name, pipe.Metrics)
 
 	qResolve, err := dnsQuery(1, "files.corp.example")
 	if err != nil {
@@ -278,20 +249,9 @@ func buildFleetMember(i, gateways, devices int, network *netsim.Network, db *ana
 		{name: kindProbeOther, desirable: true, class: fmt.Sprintf("Exfil%d", other), method: "exfil",
 			op: android.NetOp{Endpoint: dnsServerAddr, Proto: ipv4.ProtoUDP, Datagram: qOther}},
 	})
-	if err := db.Add(ga.APK); err != nil {
-		return nil, err
-	}
-	app, err := device.InstallApp(ga.APK, ga.Functionalities, android.ProfileWork)
+	app, err := pipe.Install(network, ga.APK, ga.Functionalities)
 	if err != nil {
 		return nil, err
-	}
-
-	m := &fleetMember{
-		name:   name,
-		prefix: prefix,
-		engine: engine,
-		store:  store,
-		bursts: make(map[string][]*ipv4.Packet, 5),
 	}
 	for _, kind := range []string{kindSync, kindBeacon, kindResolve, kindProbeOwn, kindProbeOther} {
 		res, err := app.Invoke(kind)
@@ -344,30 +304,26 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 	})
 
 	hub := policystore.NewHub(fleetPolicyDoc(cfg.Gateways, false))
-	db := analyzer.NewDatabase()
 	agg := cfg.Metrics
 	if agg == nil {
 		agg = metrics.NewAggregate("gateway")
 	}
-	var auditLog *audit.Log
+	// Every gateway's audit drainer writes to the one fleet-wide writer.
+	var auditW io.Writer
 	if cfg.AuditWriter != nil {
-		auditLog = audit.New(cfg.AuditWriter, 256)
-		auditReg := metrics.NewRegistry()
-		auditLog.RegisterMetrics(auditReg)
-		agg.Attach("fleet", auditReg)
+		auditW = &lockedWriter{w: cfg.AuditWriter}
 	}
-	defer auditLog.Close()
 	members := make([]*fleetMember, cfg.Gateways)
 	for i := range members {
-		m, err := buildFleetMember(i, cfg.Gateways, cfg.DevicesPerGateway, network, db, hub, agg, auditLog)
+		m, err := buildFleetMember(i, cfg.Gateways, cfg.DevicesPerGateway, network, hub, agg, auditW)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: gateway %d: %w", i, err)
 		}
-		defer m.store.Close()
+		defer m.pipe.Close()
 		members[i] = m
 	}
 	for _, m := range members {
-		m.store.Start()
+		m.pipe.Policy.Start()
 	}
 
 	res := &FleetBenchResult{
@@ -453,25 +409,25 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 	type before struct{ rounds, applied, gen uint64 }
 	b4 := make([]before, len(members))
 	for i, m := range members {
-		s := m.store.Stats()
-		b4[i] = before{s.WatchRounds, s.Applied, m.engine.Generation()}
+		s := m.pipe.Policy.Stats()
+		b4[i] = before{s.WatchRounds, s.Applied, m.pipe.Engine.Generation()}
 	}
 	hub.Set(fleetPolicyDoc(cfg.Gateways, true))
 	deadline := time.Now().Add(30 * time.Second)
 	for i, m := range members {
-		for m.store.Stats().WatchRounds == b4[i].rounds {
+		for m.pipe.Policy.Stats().WatchRounds == b4[i].rounds {
 			if time.Now().After(deadline) {
 				return nil, fmt.Errorf("fleet: %s: policy push did not complete a watch round", m.name)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
-		s := m.store.Stats()
+		s := m.pipe.Policy.Stats()
 		rep := &res.PerGateway[i]
 		rep.Name = m.name
 		rep.Devices = cfg.DevicesPerGateway
 		rep.PushWatchRounds = s.WatchRounds - b4[i].rounds
 		rep.PushApplied = s.Applied - b4[i].applied
-		rep.PushGenerations = m.engine.Generation() - b4[i].gen
+		rep.PushGenerations = m.pipe.Engine.Generation() - b4[i].gen
 	}
 
 	if err := deliver(half, cfg.DevicesPerGateway); err != nil {
@@ -495,9 +451,24 @@ func RunFleet(cfg FleetRunConfig) (*FleetBenchResult, error) {
 	res.P99Ns = snap.Quantile(0.99)
 	res.P999Ns = snap.Quantile(0.999)
 	// Flush-on-close so every decision reaches cfg.AuditWriter before the
-	// result is reported (idempotent with the safety-net defer above).
-	if err := auditLog.Close(); err != nil {
-		return nil, fmt.Errorf("fleet: audit: %w", err)
+	// result is reported (idempotent with the safety-net defers above).
+	for _, m := range members {
+		if err := m.pipe.Close(); err != nil {
+			return nil, fmt.Errorf("fleet: %s: audit: %w", m.name, err)
+		}
 	}
 	return res, nil
+}
+
+// lockedWriter serializes writes from several audit drainers onto one
+// writer, so each drain burst lands whole.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

@@ -1,11 +1,19 @@
 package experiments
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"borderpatrol/internal/metrics"
+)
 
 // TestRunFleetSmoke is the CI-scale fleet run: small N under the race
-// detector, same invariants as the full 8×1250 default.
+// detector, same invariants as the full 8×1250 default. Every gateway
+// registers the same metric families as a stand-alone deployment, the
+// tagger's and the sanitizer's included.
 func TestRunFleetSmoke(t *testing.T) {
-	res, err := RunFleet(FleetRunConfig{Gateways: 3, DevicesPerGateway: 40, BatchSize: 128})
+	agg := metrics.NewAggregate("gateway")
+	res, err := RunFleet(FleetRunConfig{Gateways: 3, DevicesPerGateway: 40, BatchSize: 128, Metrics: agg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,5 +31,16 @@ func TestRunFleetSmoke(t *testing.T) {
 	}
 	if res.Format() == "" {
 		t.Fatal("empty format")
+	}
+	seen := map[string]bool{}
+	for _, smp := range agg.Snapshot() {
+		seen[smp.Name+"/"+smp.Labels[0].Value] = true
+	}
+	for gw := 0; gw < res.Gateways; gw++ {
+		for _, family := range []string{"bp_tagger_sockets_tagged_total", "bp_sanitizer_packets_total"} {
+			if key := fmt.Sprintf("%s/gw%d", family, gw); !seen[key] {
+				t.Errorf("%s missing from the fleet aggregate", key)
+			}
+		}
 	}
 }

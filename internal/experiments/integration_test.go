@@ -9,8 +9,10 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/android"
@@ -356,5 +358,23 @@ func TestTestbedRegistersTaggerAndSanitizer(t *testing.T) {
 		if g, ok := got[k]; !ok || g != v {
 			t.Errorf("%s = %d (registered %v), Stats says %d", k, g, ok, v)
 		}
+	}
+}
+
+// TestNewTestbedErrorLeaksNoGoroutine: a corpus NewTestbed cannot install
+// (one app listed twice) fails after the audit drainer has started; the
+// error return must stop it again.
+func TestNewTestbedErrorLeaksNoGoroutine(t *testing.T) {
+	app := smallCorpus(t, 1)[0]
+	before := runtime.NumGoroutine()
+	if _, err := NewTestbed([]*apkgen.App{app, app}, TestbedConfig{EnforcementOn: true}); err == nil {
+		t.Fatal("corpus with a duplicate app accepted")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before NewTestbed, %d after its error return", before, after)
 	}
 }

@@ -9,55 +9,27 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"net/netip"
-	"runtime"
 	"time"
 
-	"borderpatrol/internal/analyzer"
 	"borderpatrol/internal/android"
 	"borderpatrol/internal/apkgen"
-	"borderpatrol/internal/audit"
-	"borderpatrol/internal/contextmgr"
-	"borderpatrol/internal/dataplane"
-	"borderpatrol/internal/devctx"
-	"borderpatrol/internal/enforcer"
-	"borderpatrol/internal/flowtable"
-	"borderpatrol/internal/httpsim"
+	"borderpatrol/internal/deploy"
 	"borderpatrol/internal/ipv4"
-	"borderpatrol/internal/kernel"
-	"borderpatrol/internal/metrics"
 	"borderpatrol/internal/netsim"
 	"borderpatrol/internal/policy"
 	"borderpatrol/internal/policystore"
-	"borderpatrol/internal/sanitizer"
 	"borderpatrol/internal/transport"
 )
 
-// Testbed is a fully assembled BorderPatrol deployment.
+// Testbed is a fully assembled BorderPatrol deployment: the shared
+// pipeline (package deploy) on its own network, with a corpus installed.
 type Testbed struct {
-	Device   *android.Device
-	Manager  *contextmgr.Manager
-	DB       *analyzer.Database
-	Engine   *policy.Engine
-	Enforcer *enforcer.Enforcer
-	Network  *netsim.Network
-	// Context is the gateway's device-context source (always built, wired
-	// into the enforcer when enforcement is on). The provisioned device
-	// reports into it; device pools can bind to it too.
-	Context *devctx.Source
-	// Audit is the gateway's asynchronous enforcement audit trail (only
-	// wired when enforcement is on).
-	Audit *audit.Log
-	// Policy is the hot-reload policy store (nil unless the testbed was
-	// built with a PolicySource).
-	Policy *policystore.Store
+	*deploy.Pipeline
+	Network *netsim.Network
 	// Apps are the installed corpus apps in install order.
 	Apps []*android.App
 	// Corpus preserves the generator metadata per installed app.
 	Corpus []*apkgen.App
-	// Metrics is the registry every assembled component registered its
-	// instruments on; render it with WritePrometheus or walk Snapshot.
-	Metrics *metrics.Registry
 }
 
 // TestbedConfig assembles a deployment.
@@ -70,10 +42,6 @@ type TestbedConfig struct {
 	// EnforcementOn wires the Policy Enforcer into the gateway; when false
 	// the gateway only sanitizes (observation / baseline runs).
 	EnforcementOn bool
-	// AllowUntagged admits untagged packets at the enforcer.
-	AllowUntagged bool
-	// NIC selects the emulator network mode (TAP for the paper's testbed).
-	NIC netsim.NICMode
 	// DisableFlowCache turns off per-flow verdict caching (on by default
 	// when enforcement is on; baselines that measure the uncached pipeline
 	// set this).
@@ -100,8 +68,9 @@ type TestbedConfig struct {
 	// Faults arms the network with a deterministic fault plan at
 	// construction (nil leaves the wire perfect, as before).
 	Faults *netsim.FaultPlan
-	// FlowTTL bounds flow-verdict cache entries in virtual time; zero
-	// keeps the pre-soak behaviour (no TTL, eviction pressure only).
+	// FlowTTL bounds cached verdicts in virtual time, in the flow table
+	// and the dataplane alike; zero keeps the pre-soak behaviour (no TTL,
+	// eviction pressure only).
 	FlowTTL time.Duration
 	// PolicyMaxStale enables the policy store's staleness deadline, and
 	// PolicyFailMode selects the degraded posture past it. Requires
@@ -125,151 +94,62 @@ type TestbedConfig struct {
 // installs every corpus app, and stands up the gateway and network with one
 // server per endpoint the corpus references.
 func NewTestbed(corpus []*apkgen.App, cfg TestbedConfig) (*Testbed, error) {
-	device := android.NewDevice(android.Config{
-		Addr: netip.MustParseAddr("10.66.0.2"),
-		Kernel: kernel.Config{
-			AllowUnprivilegedIPOptions: true,
-			SetOptionsOncePerSocket:    true,
-			RawPayloads:                cfg.LegacyPayloads,
-		},
-		XposedInstalled: true,
+	// The network comes up before the policy store so the store's
+	// staleness clock can read virtual time.
+	network := netsim.NewNetwork(netsim.ModeTAP, netsim.DefaultLatencyModel())
+	if cfg.DisableCapture {
+		network.SetCapture(false)
+	}
+	if cfg.Faults != nil {
+		network.InstallFaults(*cfg.Faults)
+	}
+	store := policystore.Config{
+		Source:   cfg.PolicySource,
+		Poll:     cfg.PolicyPoll,
+		MaxStale: cfg.PolicyMaxStale,
+		FailMode: cfg.PolicyFailMode,
+	}
+	if cfg.PolicyVirtualTime {
+		store.Now = network.Clock.Now
+	}
+	ttl := cfg.FlowTTL
+	if ttl == 0 {
+		ttl = -1 // the testbed's zero means no TTL
+	}
+	return assembleTestbed(corpus, network, deploy.Config{
+		RawPayloads:    cfg.LegacyPayloads,
+		Rules:          cfg.Rules,
+		DefaultVerdict: cfg.DefaultVerdict,
+		Store:          store,
+		SanitizeOnly:   !cfg.EnforcementOn,
+		NoFlowCache:    cfg.DisableFlowCache,
+		FlowTTL:        ttl,
+		Dataplane:      cfg.Dataplane,
+		Workers:        cfg.GatewayWorkers,
+		AuditWriter:    cfg.AuditWriter,
 	})
-	manager := contextmgr.New(device)
-	if err := device.LoadModule(manager); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
+}
 
-	db := analyzer.NewDatabase()
-	defV := cfg.DefaultVerdict
-	if defV == 0 {
-		defV = policy.VerdictAllow
-	}
-	engine, err := policy.NewEngine(cfg.Rules, defV)
+// assembleTestbed builds the pipeline as the network's gateway, installs
+// the corpus with a server at every endpoint it reaches, and starts the
+// policy store.
+func assembleTestbed(corpus []*apkgen.App, network *netsim.Network, cfg deploy.Config) (*Testbed, error) {
+	pipe, err := deploy.New(network, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-
-	tb := &Testbed{
-		Device: device, Manager: manager, DB: db, Engine: engine,
-		Corpus: corpus,
-	}
-
-	// The network comes up before the policy store so the store's
-	// staleness clock can read virtual time.
-	nic := cfg.NIC
-	if nic == 0 {
-		nic = netsim.ModeTAP
-	}
-	tb.Network = netsim.NewNetwork(nic, netsim.DefaultLatencyModel())
-	if cfg.DisableCapture {
-		tb.Network.SetCapture(false)
-	}
-	if cfg.Faults != nil {
-		tb.Network.InstallFaults(*cfg.Faults)
-	}
-
-	if cfg.PolicySource != nil {
-		if len(cfg.Rules) > 0 {
-			return nil, fmt.Errorf("experiments: TestbedConfig.Rules and PolicySource are mutually exclusive")
-		}
-		storeCfg := policystore.Config{
-			Source:   cfg.PolicySource,
-			Engine:   engine,
-			Poll:     cfg.PolicyPoll,
-			MaxStale: cfg.PolicyMaxStale,
-			FailMode: cfg.PolicyFailMode,
-		}
-		if cfg.PolicyVirtualTime {
-			storeCfg.Now = tb.Network.Clock.Now
-		}
-		store, err := policystore.New(storeCfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		if err := store.Load(); err != nil {
-			return nil, fmt.Errorf("experiments: initial policy: %w", err)
-		}
-		// Started at the very end of construction: no goroutine to leak on
-		// the error paths below.
-		tb.Policy = store
-	}
-
-	gwCfg := netsim.GatewayConfig{
-		Sanitizer: sanitizer.New(sanitizer.Config{}),
-		Workers:   cfg.GatewayWorkers,
-		Clock:     tb.Network.Clock,
-	}
-	tb.Context = devctx.NewSource(tb.Network.Clock)
-	device.BindContext(tb.Context)
-	if cfg.EnforcementOn {
-		tb.Audit = audit.New(cfg.AuditWriter, 256)
-		enfCfg := enforcer.Config{
-			AllowUntagged: cfg.AllowUntagged,
-			Audit:         tb.Audit,
-			Context:       tb.Context,
-			Clock:         tb.Network.Clock,
-		}
-		if !cfg.DisableFlowCache {
-			enfCfg.Flows = enforcer.NewFlowCache(flowtable.Config{
-				Clock: tb.Network.Clock,
-				TTL:   cfg.FlowTTL,
-			})
-		}
-		tb.Enforcer = enforcer.New(enfCfg, db, engine)
-		gwCfg.Enforcer = tb.Enforcer
-		if cfg.Dataplane && !cfg.DisableFlowCache {
-			cores := cfg.GatewayWorkers
-			if cores <= 0 {
-				cores = runtime.GOMAXPROCS(0)
-			}
-			gwCfg.Dataplane = dataplane.New(dataplane.Config{
-				Cores: cores,
-				TTL:   cfg.FlowTTL,
-				Clock: tb.Network.Clock,
-			}, tb.Enforcer)
-		}
-	}
-	tb.Network.Gateway = netsim.NewGateway(gwCfg)
-
-	seenEndpoints := make(map[netip.Addr]struct{})
+	tb := &Testbed{Pipeline: pipe, Network: network, Corpus: corpus}
+	network.Gateway = pipe.Gateway
+	network.RegisterMetrics(pipe.Metrics)
 	for _, ga := range corpus {
-		if err := db.Add(ga.APK); err != nil {
-			return nil, fmt.Errorf("experiments: analyze %s: %w", ga.APK.PackageName, err)
-		}
-		app, err := device.InstallApp(ga.APK, ga.Functionalities, android.ProfileWork)
+		app, err := pipe.Install(network, ga.APK, ga.Functionalities)
 		if err != nil {
+			tb.Close()
 			return nil, fmt.Errorf("experiments: install %s: %w", ga.APK.PackageName, err)
 		}
 		tb.Apps = append(tb.Apps, app)
-		for _, f := range ga.Functionalities {
-			addr := f.Op.Endpoint.Addr()
-			if _, ok := seenEndpoints[addr]; ok {
-				continue
-			}
-			seenEndpoints[addr] = struct{}{}
-			tb.Network.AddServer(&netsim.Server{
-				Addr:    addr,
-				Name:    f.Op.Host,
-				Handler: httpsim.StaticHandler(httpsim.StaticPage()),
-			})
-		}
 	}
-	// Registration before Start: no poller goroutine races the registry.
-	tb.Metrics = metrics.NewRegistry()
-	tb.Manager.RegisterMetrics(tb.Metrics)
-	if tb.Enforcer != nil {
-		tb.Enforcer.RegisterMetrics(tb.Metrics)
-	}
-	tb.Network.Gateway.Sanitizer().RegisterMetrics(tb.Metrics)
-	tb.Network.Gateway.RegisterMetrics(tb.Metrics)
-	tb.Network.RegisterMetrics(tb.Metrics)
-	tb.Audit.RegisterMetrics(tb.Metrics)
-	if tb.Policy != nil {
-		tb.Policy.RegisterMetrics(tb.Metrics)
-	}
-	if tb.Policy != nil {
-		tb.Policy.Start()
-	}
+	tb.Policy.Start()
 	return tb, nil
 }
 
@@ -315,14 +195,4 @@ func dataPackets(pkts []*ipv4.Packet) []*ipv4.Packet {
 		}
 	}
 	return out
-}
-
-// Close stops the policy store's hot-reload poller (when one is wired) and
-// flushes and stops the audit pipeline (a no-op for observation testbeds
-// without enforcement).
-func (tb *Testbed) Close() error {
-	if tb.Policy != nil {
-		tb.Policy.Close()
-	}
-	return tb.Audit.Close()
 }

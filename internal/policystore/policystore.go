@@ -410,14 +410,15 @@ func (s *Store) Degraded() bool {
 	return s.degraded
 }
 
-// Start launches the background reloader (a no-op when Config.Poll <= 0).
+// Start launches the background reloader (a no-op on a nil Store or when
+// Config.Poll <= 0).
 // Watch-capable Sources get the blocking watch loop — a fleet-wide change
 // wakes the store immediately, and idle rounds cost one held connection
 // per WatchTimeout instead of a poll per Poll. Everything else gets the
 // jittered poller. Poll errors back off exponentially up to MaxBackoff
 // and reset on the next clean cycle.
 func (s *Store) Start() {
-	if s.cfg.Poll <= 0 {
+	if s == nil || s.cfg.Poll <= 0 {
 		return
 	}
 	s.startOne.Do(func() {
@@ -509,9 +510,12 @@ func (s *Store) watchLoop(w Watcher) {
 	}
 }
 
-// Close stops the poller and waits for it to exit. Idempotent; the engine
-// keeps serving the last applied rules.
+// Close stops the poller and waits for it to exit. Idempotent and a no-op
+// on a nil Store; the engine keeps serving the last applied rules.
 func (s *Store) Close() {
+	if s == nil {
+		return
+	}
 	s.stopOne.Do(func() { close(s.stop) })
 	if s.started.Load() {
 		<-s.done

@@ -238,3 +238,14 @@ func TestStoreEmptyDocument(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 }
+
+// TestNilStoreStartClose: a pipeline without a policy backend holds a nil
+// Store; starting and closing it are no-ops, like Stats.
+func TestNilStoreStartClose(t *testing.T) {
+	var s *Store
+	s.Start()
+	s.Close()
+	if st := s.Stats(); st.Applied != 0 {
+		t.Fatalf("nil store stats: %+v", st)
+	}
+}
